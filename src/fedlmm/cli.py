@@ -108,14 +108,16 @@ def cmd_summarize(args) -> int:
     if args.intercept:
         X_all = np.column_stack([np.ones(len(y_all)), X_all])
     if args.site_col:
-        order = sorted(set(site_ids))
-        groups = [(sid, np.array([s == sid for s in site_ids])) for sid in order]
+        rows_of: dict[str, list[int]] = {}
+        for i, sid in enumerate(site_ids):
+            rows_of.setdefault(sid, []).append(i)
+        groups = [(sid, rows_of[sid]) for sid in sorted(rows_of)]
     else:
-        groups = [(args.site_id, np.ones(len(y_all), dtype=bool))]
+        groups = [(args.site_id, slice(None))]
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for sid, mask in groups:
-        site = SiteData(site_id=sid, y=y_all[mask], X=X_all[mask])
+    for sid, rows in groups:
+        site = SiteData(site_id=sid, y=y_all[rows], X=X_all[rows])
         summary = compute_summary(site)
         safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in sid) or "site"
         target = out_dir / f"{safe}.json"
@@ -194,6 +196,9 @@ def cmd_fit(args) -> int:
 # -- attack ---------------------------------------------------------------------
 
 
+_RATE_FIELDS = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "failed")
+
+
 def cmd_attack(args) -> int:
     config = AttackConfig(timeout_s=args.timeout)
     row = run_reconstruction_cell(
@@ -201,10 +206,9 @@ def cmd_attack(args) -> int:
         seed=args.seed, delta=args.delta, config=config,
     )
     target = _out_path(args.out)
-    fields = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps")
     out_row = dict(row)
     out_row["epsilon0"] = "ref" if row["epsilon0"] is None else row["epsilon0"]
-    write_rate_rows([out_row], target, fields)
+    write_rate_rows([out_row], target, _RATE_FIELDS)
     print(target)
     return 0
 
@@ -225,8 +229,7 @@ def cmd_simulate_reconstruction(args) -> int:
     for row in rows:
         row["epsilon0"] = "ref" if row["epsilon0"] is None else row["epsilon0"]
     target = _out_path(args.out)
-    fields = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "failed")
-    write_rate_rows(rows, target, fields)
+    write_rate_rows(rows, target, _RATE_FIELDS)
     print(target)
     return 0
 

@@ -13,8 +13,23 @@ out in closed form through the per-site weights
     W_k = S_k[XX]/sigma2 - tau2/(sigma2 (sigma2 + n_k tau2)) T_k[XX]
     Q_k = S_k[Xy]/sigma2 - tau2/(sigma2 (sigma2 + n_k tau2)) T_k[Xy]
 
-and (sigma2, tau2) is maximized by derivative-free Nelder-Mead on
-(log sigma2, softplus^-1 tau2), with an explicit scan of the tau2 = 0 edge.
+With gamma = tau2/sigma2 the per-site shrinkage c_k = gamma/(1 + n_k gamma)
+no longer depends on sigma2, which then has the closed form quad(gamma)/N
+(ML) or quad(gamma)/(N - p) (REML), where quad is the pooled GLS residual
+quadratic.  What is left is a one-dimensional deviance in gamma (Bates et
+al. 2015, "Fitting Linear Mixed-Effects Models Using lme4", JSS 67(1)).
+
+The profiled search is used whenever that deviance is well posed: on a
+log-gamma grid that includes gamma = 0, every sum_k W_k is positive
+definite and within the condition limit, and the pooled quadratic is
+positive.  The search walks down the grid from the variance ratios of
+the 2-D search's starting points, refines the local minimum it reaches
+with a bounded Brent search, and keeps the gamma = 0 edge on a tie.
+Every other fit is maximized by derivative-free Nelder-Mead on
+(log sigma2, softplus^-1 tau2), with an explicit scan of the tau2 = 0
+edge: noisy summaries whose profile is not well posed, an optimum at the
+top of the grid or outside the search box, a point the refinement finds
+ill posed, and a caller-fixed tau2.
 
 The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout,
 matching :mod:`fedlmm.ipd`.
@@ -56,7 +71,8 @@ class OptimizerConfig:
 
     The box is relative to the pooled outcome scale: sigma2 in
     [sigma2_min_factor, sigma2_max_factor] * scale and tau2 in
-    [0, tau2_max_factor * scale].
+    [0, tau2_max_factor * scale].  The profiled search uses param_tol as its
+    tolerance in log(tau2/sigma2) and the first n_starts start ratios.
     """
 
     sigma2_min_factor: float = 1e-8
@@ -80,6 +96,7 @@ class FitResult:
     converged: bool
     iterations: int
     boundary_tau: bool
+    search: str = "none"  # "profile" | "nelder-mead"; "none" when theta was given
     per_site_weights: dict = field(repr=False, default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -92,6 +109,7 @@ class FitResult:
             "converged": self.converged,
             "iterations": self.iterations,
             "boundary_tau": self.boundary_tau,
+            "search": self.search,
         }
 
 
@@ -175,6 +193,39 @@ class _Kernel:
             raise SingularDesignError("REML determinant argument is not positive definite")
         return g - 0.5 * logdet, beta
 
+    def _ratio_matrix(self, gamma) -> np.ndarray:
+        """sigma2 * (S_sum - sum_k c_k T_k) at gamma = tau2/sigma2; gamma may be a vector."""
+        gn = np.multiply.outer(gamma, self.n)
+        c = gn / (1.0 + gn) / self.n
+        return self.S_sum - np.tensordot(c, self.T_full, axes=1)
+
+    def _deviance_terms(self, gamma, quad, logdet_w, reml: bool):
+        m = self.N - self.p if reml else self.N
+        dev = m * np.log(quad) + np.log1p(np.multiply.outer(gamma, self.n)).sum(axis=-1)
+        return dev + logdet_w if reml else dev
+
+    def grid_deviance(self, gammas: np.ndarray, reml: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Profiled deviance and pooled quadratic at each gamma, or _IllPosed.
+
+        Ill-posed means that at some gamma sum_k W_k is not positive definite,
+        its condition number exceeds ``cond_limit``, or the quadratic is not
+        positive, so sigma2 has no closed form there; REML also needs N > p.
+        """
+        M = self._ratio_matrix(gammas)
+        W, q = M[:, 1:, 1:], M[:, 1:, 0]
+        lam = np.linalg.eigvalsh(W)  # ascending; cond = lam_max / lam_min when positive
+        if not ((lam[:, 0] > 0).all() and (lam[:, -1] <= self.cond_limit * lam[:, 0]).all()):
+            raise _IllPosed
+        quad = M[:, 0, 0] - (q * np.linalg.solve(W, q[..., None])[..., 0]).sum(axis=1)
+        if not (quad > 0).all() or (reml and self.N <= self.p):
+            raise _IllPosed
+        logdet_w = np.log(lam).sum(axis=1) if reml else None
+        return self._deviance_terms(gammas, quad, logdet_w, reml), quad
+
+
+class _IllPosed(Exception):
+    """The profiled deviance is undefined at a gamma the search needs."""
+
 
 def _check_theta_domain(sigma2: float, tau2: float) -> None:
     if not (sigma2 > 0 and np.isfinite(sigma2)):
@@ -256,6 +307,92 @@ def _minimize_nm(fun, x0: np.ndarray, config: OptimizerConfig):
     )
 
 
+def _search_space(kernel: _Kernel, config: OptimizerConfig) -> _SearchSpace:
+    scale = kernel.scale()
+    return _SearchSpace(
+        sigma2_lo=config.sigma2_min_factor * scale,
+        sigma2_hi=config.sigma2_max_factor * scale,
+        tau2_hi=config.tau2_max_factor * scale,
+    )
+
+
+# log(gamma) grid of the profiled search; gamma = 0 is evaluated as well.
+_LOG_GAMMA = np.arange(-16.0, 10.25, 0.5)
+# tau2/sigma2 at the starting points of the 2-D search, in its order.
+_START_RATIOS = (1.0, 1.0 / 9.0, 10.0 / 3.0)
+
+
+def _profiled_search(
+    kernel: _Kernel, config: OptimizerConfig, reml: bool
+) -> tuple[float, float, float, bool, int, bool] | None:
+    """Minimize the profiled deviance in gamma; None when it is not well posed.
+
+    The grid is always evaluated; ``max_evals`` bounds the grid plus the
+    Brent refinements, and a fit whose budget runs out is not converged.
+    Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
+    """
+    gammas = np.concatenate(([0.0], np.exp(_LOG_GAMMA)))
+    try:
+        grid, grid_quad = kernel.grid_deviance(gammas, reml)
+    except _IllPosed:
+        return None
+    n_evals = len(gammas)
+    budget = config.max_evals - n_evals
+    converged = budget > 0
+    dev = grid[1:]
+    best = None  # (deviance, log gamma)
+    refined = set()
+    for ratio in _START_RATIOS[: config.n_starts]:
+        i = int(np.abs(_LOG_GAMMA - np.log(ratio)).argmin())
+        while True:  # walk down to the local grid minimum
+            j = min((k for k in (i - 1, i, i + 1) if 0 <= k < len(dev)), key=dev.__getitem__)
+            if j == i:
+                break
+            i = j
+        if i == len(dev) - 1:
+            return None  # still falling at the top of the grid
+        if i in refined:
+            continue
+        refined.add(i)
+        found = (dev[i], _LOG_GAMMA[i])
+        if budget > 0:
+            try:
+                res = optimize.minimize_scalar(
+                    lambda t: kernel.grid_deviance(np.exp([t]), reml)[0][0],
+                    bounds=(_LOG_GAMMA[max(i - 1, 0)], _LOG_GAMMA[i + 1]),
+                    method="bounded",
+                    options={"xatol": config.param_tol, "maxiter": budget},
+                )
+            except _IllPosed:
+                return None
+            n_evals += res.nfev
+            budget -= res.nfev
+            converged = converged and bool(res.success)
+            found = (res.fun, res.x)
+        if best is None or found[0] < best[0]:
+            best = found
+
+    m = kernel.N - kernel.p if reml else kernel.N
+
+    def to_value(deviance):  # the objective at sigma2 = quad / m
+        return -0.5 * (deviance + m * (1.0 - np.log(m)))
+
+    edge_value = to_value(grid[0])
+    if best is None or edge_value >= to_value(best[0]) - 1e-10 * (1.0 + abs(edge_value)):
+        gamma, quad, value, boundary = 0.0, grid_quad[0], edge_value, True
+    else:
+        gamma = float(np.exp(best[1]))
+        d, q = kernel.grid_deviance(np.array([gamma]), reml)  # well posed: already evaluated
+        n_evals += 1
+        quad, value, boundary = q[0], to_value(d[0]), False
+    sigma2 = float(quad / m)
+    tau2 = gamma * sigma2
+    space = _search_space(kernel, config)
+    if not (space.sigma2_lo <= sigma2 <= space.sigma2_hi and tau2 <= space.tau2_hi):
+        return None
+    return sigma2, tau2, float(value), converged, n_evals, boundary
+
+
 def _run_profile_search(
     kernel: _Kernel, config: OptimizerConfig, objective: str
 ) -> tuple[float, float, float, bool, int, bool]:
@@ -264,11 +401,7 @@ def _run_profile_search(
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
     scale = kernel.scale()
-    space = _SearchSpace(
-        sigma2_lo=config.sigma2_min_factor * scale,
-        sigma2_hi=config.sigma2_max_factor * scale,
-        tau2_hi=config.tau2_max_factor * scale,
-    )
+    space = _search_space(kernel, config)
 
     value_of = kernel.profile_value if objective == "ml" else kernel.reml_value
 
@@ -347,7 +480,7 @@ def _run_profile_search(
 
 
 def _finalize(
-    kernel: _Kernel, sigma2: float, tau2: float, value: float, method: str,
+    kernel: _Kernel, method: str, search: str, sigma2: float, tau2: float, value: float,
     converged: bool, n_evals: int, boundary: bool,
 ) -> FitResult:
     beta, W_sum, Q_sum = kernel.profile_beta(sigma2, tau2)
@@ -360,6 +493,7 @@ def _finalize(
         converged=bool(converged and np.isfinite(value)),
         iterations=int(n_evals),
         boundary_tau=bool(boundary),
+        search=search,
         per_site_weights={"W": W, "Q": Q, "W_sum": W_sum, "Q_sum": Q_sum},
     )
 
@@ -393,14 +527,18 @@ def evaluate_fit(
 def fit_ml(
     summaries: FederatedSummarySet, config: OptimizerConfig = OptimizerConfig()
 ) -> FitResult:
-    """Maximize the summary-based ML objective over (beta, sigma2, tau2)."""
+    """Maximize the summary-based ML objective over (beta, sigma2, tau2).
+
+    Uses the profiled search in gamma when its deviance is well posed and
+    tau2 is not fixed, and the 2-D Nelder-Mead search otherwise.
+    """
     if summaries.K < 2 and config.fix_tau2 is None:
         raise ValidationError("ML fit needs at least 2 sites unless tau2 is fixed")
     kernel = _Kernel(summaries, cond_limit=config.cond_limit)
-    sigma2, tau2, value, converged, n_evals, boundary = _run_profile_search(
-        kernel, config, objective="ml"
-    )
-    return _finalize(kernel, sigma2, tau2, value, "ML", converged, n_evals, boundary)
+    found = None if config.fix_tau2 is not None else _profiled_search(kernel, config, reml=False)
+    if found is not None:
+        return _finalize(kernel, "ML", "profile", *found)
+    return _finalize(kernel, "ML", "nelder-mead", *_run_profile_search(kernel, config, "ml"))
 
 
 def fit_reml(
@@ -410,7 +548,7 @@ def fit_reml(
 
     Refuses privatized inputs: the extra determinant term aggregates
     cross-site information and amplifies injected noise, so the REML route
-    is supported only without perturbation.
+    is supported only without perturbation.  Search as in fit_ml.
     """
     if summaries.any_privatized:
         raise ValidationError(
@@ -420,7 +558,7 @@ def fit_reml(
     if summaries.K < 2 and config.fix_tau2 is None:
         raise ValidationError("REML fit needs at least 2 sites unless tau2 is fixed")
     kernel = _Kernel(summaries, cond_limit=config.cond_limit)
-    sigma2, tau2, value, converged, n_evals, boundary = _run_profile_search(
-        kernel, config, objective="reml"
-    )
-    return _finalize(kernel, sigma2, tau2, value, "REML", converged, n_evals, boundary)
+    found = None if config.fix_tau2 is not None else _profiled_search(kernel, config, reml=True)
+    if found is not None:
+        return _finalize(kernel, "REML", "profile", *found)
+    return _finalize(kernel, "REML", "nelder-mead", *_run_profile_search(kernel, config, "reml"))

@@ -6,7 +6,7 @@ import pytest
 
 from fedlmm import ipd, load_summary
 from fedlmm.cli import end_to_end, main, write_bundle_csv
-from fedlmm.summaries import SiteData
+from fedlmm.summaries import SiteData, compute_summary
 
 
 def run(args):
@@ -73,14 +73,21 @@ class TestSummarize:
             "a,2.0,1\n"
             "b,3.0,1\n"
             "a,0.5,0\n"
+            "b,-1.25,2\n"
         )
         out = tmp_path / "sums"
         rc = run(["summarize", "--csv", str(path), "--outcome", "y",
                   "--covariates", "x", "--site-col", "site", "--out", str(out)])
         assert rc == 0
-        a = load_summary(out / "a.json")
-        b = load_summary(out / "b.json")
-        assert a.n == 3 and b.n == 1
+        rows = {"a": [[1.0, 0.0], [2.0, 1.0], [0.5, 0.0]], "b": [[3.0, 1.0], [-1.25, 2.0]]}
+        for sid, values in rows.items():
+            got = load_summary(out / f"{sid}.json")
+            arr = np.array(values)
+            X = np.column_stack([np.ones(len(arr)), arr[:, 1]])
+            want = compute_summary(SiteData(site_id=sid, y=arr[:, 0], X=X))
+            assert got.n == len(values)
+            np.testing.assert_array_equal(got.S, want.S)
+            np.testing.assert_array_equal(got.T, want.T)
 
 
 @pytest.fixture
@@ -100,7 +107,7 @@ class TestFit:
                   "--out", str(report_path)])
         assert rc == 0
         report = json.loads(report_path.read_text())
-        assert report["fit"]["converged"]
+        assert report["fit"]["converged"] and report["fit"]["search"] == "profile"
         # dense GLS on the pooled raw rows at the fitted variance components
         rows = list(csv.DictReader(open(tmp_path / "bundle.csv")))
         sites = {}
@@ -191,8 +198,8 @@ class TestAttackCommand:
                   "--delta", "0.01", "--reps", "20", "--seed", "2", "--out", str(out)])
         assert rc == 0
         rows = list(csv.DictReader(open(out)))
-        assert list(rows[0]) == ["n", "p", "epsilon0", "matrix_rate", "element_rate", "reps"]
-        assert rows[0]["reps"] == "20"
+        assert list(rows[0]) == ["n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "failed"]
+        assert rows[0]["reps"] == "20" and rows[0]["failed"] == "0"
 
     def test_reference_run(self, tmp_path):
         out = tmp_path / "rates.csv"

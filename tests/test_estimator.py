@@ -206,6 +206,56 @@ class TestFitML:
             grad.append((kernel.profile_value(*args_hi)[0] - kernel.profile_value(*args_lo)[0]) / (2 * h))
         assert np.linalg.norm(grad) <= 1e-4
 
+    def test_profiled_search_matches_nelder_mead(self, rng):
+        # Both searches compare objective values, which pins the variance
+        # ratio down to about sqrt(machine eps); within that beta still moves
+        # by up to ~2e-8 on these small instances, so the maxima are compared
+        # at 1e-12 and beta at 1e-7.
+        from fedlmm.estimator import _Kernel, _run_profile_search
+
+        for _ in range(30):
+            summ = _summaries(random_sites(rng))
+            fit = fit_ml(summ)
+            assert fit.search == "profile" and fit.converged
+            sigma2, tau2, value, _, _, boundary = _run_profile_search(
+                _Kernel(summ), OptimizerConfig(), "ml"
+            )
+            assert fit.boundary_tau == boundary
+            assert _rel_close(fit.objective, value, 1e-12)
+            beta_nm, _, _ = profile_beta(sigma2, tau2, summ)
+            np.testing.assert_allclose(fit.theta_hat.beta, beta_nm, rtol=0.0, atol=1e-7)
+
+    def test_unbounded_private_profile_keeps_nelder_mead(self):
+        # At eps0=2 the noise turns sum_k W_k indefinite at large variance
+        # ratios, so the profiled deviance is not well posed and the 2-D search
+        # runs unchanged; it lands on the cond(W) ~ 1e12 ridge behind criterion
+        # 7's SE blow-up.  The digits on that ridge depend on the BLAS build,
+        # so the recorded values are checked loosely and the unchanged path
+        # bit for bit against a direct call on this machine.
+        from fedlmm.estimator import _finalize, _Kernel, _run_profile_search
+
+        rng = np.random.default_rng(3)
+        summ = _summaries(random_sites(rng, K=20, n_range=(3, 8), p=3, tau2=0.8))
+        budget = calibrate(
+            CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), delta=0.01, p=summ.p
+        )
+        noisy = merge_summaries([privatize(s, budget, rng_seed=5) for s in summ])
+        fit = fit_ml(noisy)
+        assert fit.search == "nelder-mead" and fit.converged
+        kernel = _Kernel(noisy)
+        direct = _finalize(
+            kernel, "ML", "nelder-mead", *_run_profile_search(kernel, OptimizerConfig(), "ml")
+        )
+        assert fit.to_dict() == direct.to_dict()
+        np.testing.assert_allclose(
+            fit.theta_hat.beta, [148194424727.00513, -7405299450.560916, 3650260829.2302136], rtol=1e-2
+        )
+        np.testing.assert_allclose(
+            [fit.theta_hat.sigma2, fit.theta_hat.tau2, fit.objective],
+            [0.06885131767661216, 0.9268431408985812, 18213684284667.28],
+            rtol=1e-2,
+        )
+
     def test_reparameterization_invariance(self, rng):
         sites = random_sites(rng, K=25, n_range=(2, 7), p=3, tau2=0.7)
         fit_raw = fit_ml(_summaries(sites))
@@ -216,21 +266,34 @@ class TestFitML:
 
 
 class TestFitREML:
-    def test_balanced_one_way_matches_anova_oracle(self, rng):
-        K, n = 15, 5
+    @staticmethod
+    def _one_way(rng, site_sd, K=15, n=5):
+        """Balanced one-way sites and the classical ANOVA (sigma2, tau2) estimators."""
         sites = []
         for k in range(K):
-            y = 1.5 + rng.normal(0, 1.0) + rng.normal(0, 0.8, n)
+            y = 1.5 + rng.normal(0, site_sd) + rng.normal(0, 0.8, n)
             sites.append(SiteData(site_id=f"g{k}", y=y, X=np.ones((n, 1))))
-        fit = fit_reml(_summaries(sites))
-        # classical balanced one-way ANOVA estimators (REML solution when interior)
         site_means = np.array([s.y.mean() for s in sites])
         grand = np.concatenate([s.y for s in sites]).mean()
         msb = n * ((site_means - grand) ** 2).sum() / (K - 1)
         msw = sum(((s.y - s.y.mean()) ** 2).sum() for s in sites) / (K * (n - 1))
-        tau2_anova = max(0.0, (msb - msw) / n)
+        return sites, msw, max(0.0, (msb - msw) / n)
+
+    def test_balanced_one_way_matches_anova_oracle(self, rng):
+        sites, msw, tau2_anova = self._one_way(rng, site_sd=1.0)
+        fit = fit_reml(_summaries(sites))
+        # the ANOVA estimators are the REML solution when interior
         assert abs(fit.theta_hat.sigma2 - msw) < 1e-6 * (1 + msw)
         assert abs(fit.theta_hat.tau2 - tau2_anova) < 1e-6 * (1 + tau2_anova)
+
+    def test_ratio_above_grid_falls_back_to_nelder_mead(self, rng):
+        # tau2/sigma2 ~ 1e6 lies above the profiled grid (e^10), so the 2-D
+        # search fits it; its stopping rule leaves ~2e-5 relative error here.
+        sites, msw, tau2_anova = self._one_way(rng, site_sd=1000.0)
+        fit = fit_reml(_summaries(sites))
+        assert fit.search == "nelder-mead"
+        assert tau2_anova / msw > 1e5
+        np.testing.assert_allclose([fit.theta_hat.sigma2, fit.theta_hat.tau2], [msw, tau2_anova], rtol=1e-4)
 
     def test_reml_objective_matches_dense_oracle(self, rng):
         for _ in range(10):
@@ -241,6 +304,39 @@ class TestFitREML:
             got = loglik_reml(sigma2, tau2, summ)
             want = ipd.loglik_reml(sigma2, tau2, sites)
             assert _rel_close(got, want, 1e-9)
+
+    def test_reaches_local_maximum_of_reml_objective(self, rng):
+        for _ in range(20):
+            summ = _summaries(random_sites(rng))
+            fit = fit_reml(summ)
+            assert fit.search == "profile" and fit.converged
+            s2, t2, value = fit.theta_hat.sigma2, fit.theta_hat.tau2, fit.objective
+            assert _rel_close(loglik_reml(s2, t2, summ), value, 1e-10)
+            assert fit.boundary_tau == (t2 == 0.0)
+            for f_s2, d_t2 in ((1.0001, 0.0), (0.9999, 0.0), (1.0, 1e-4), (1.0, -1e-4)):
+                t2_near = t2 + d_t2 * (1.0 + t2)
+                if t2_near >= 0.0:
+                    assert loglik_reml(s2 * f_s2, t2_near, summ) <= value + 1e-12 * (1.0 + abs(value))
+
+    def test_fixed_tau_keeps_nelder_mead(self, rng):
+        from fedlmm.estimator import _finalize, _Kernel, _run_profile_search
+
+        for K in (1, 4):
+            summ = _summaries(random_sites(rng, K=K))
+            config = OptimizerConfig(fix_tau2=0.5)
+            fit = fit_reml(summ, config)
+            assert fit.search == "nelder-mead" and fit.theta_hat.tau2 == 0.5
+            kernel = _Kernel(summ)
+            want = _finalize(kernel, "REML", "nelder-mead", *_run_profile_search(kernel, config, "reml"))
+            assert fit.to_dict() == want.to_dict()
+
+    def test_singular_design_error(self, rng):
+        sites = []
+        for k in range(3):
+            base = rng.normal(size=5)
+            sites.append(SiteData(site_id=f"s{k}", y=rng.normal(size=5), X=np.column_stack([base, 2.0 * base])))
+        with pytest.raises(SingularDesignError):
+            fit_reml(_summaries(sites))
 
     def test_refuses_privatized(self, rng):
         summ = _summaries(random_sites(rng, K=3))
