@@ -12,9 +12,11 @@ permutation, which the evaluation metric ignores anyway.  The solver is a
 depth-first branch-and-bound over the 2^p patterns, visited in descending
 popcount order so that diagonal budgets prune early.
 
-When rounding noise makes the instance infeasible, the attacker falls
-back to the count vector with the smallest total L1 deviation from the
-Gram constraints, so element-level accuracy is always defined.
+When rounding noise makes the instance infeasible, the attacker clamps
+the Gram into the ranges a binary design can have (``clamp_gram``) and
+falls back to the count vector with the smallest total L1 deviation from
+the clamped constraints, so element-level accuracy is always defined.
+Both searches recurse once per pattern, so recursion depth caps p at 9.
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ from .errors import CapacityError, ValidationError
 from .privacy import PrivacyBudget, gaussian_mechanism
 
 
+# Largest p the solver accepts.  The exact and repair searches recurse
+# 2^p - 1 frames deep; Python's default recursion limit (1000) allows p = 9.
+_P_MAX = 9
+
+
 @dataclass(frozen=True)
 class AttackConfig:
-    p_max: int = 12
     timeout_s: float = 10.0
 
 
@@ -45,10 +51,7 @@ class FeasibilityInstance:
         g = np.asarray(self.gram)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("gram must be square")
-        if not np.issubdtype(g.dtype, np.integer):
-            g = np.asarray(np.rint(g), dtype=np.int64)
-        else:
-            g = g.astype(np.int64)
+        g = (g if np.issubdtype(g.dtype, np.integer) else np.rint(g)).astype(np.int64)
         if not np.array_equal(g, g.T):
             raise ValidationError("gram must be symmetric")
         if self.n < 1:
@@ -121,13 +124,11 @@ class _Search:
 
     # -- exact feasibility -------------------------------------------------
 
-    def enumerate_exact(self, limit: int | None) -> tuple[list[np.ndarray], bool]:
-        """DFS for count vectors reproducing the Gram exactly.
+    def enumerate_exact(self, limit: int | None) -> list[np.ndarray]:
+        """DFS for count vectors reproducing the Gram exactly, up to ``limit``.
 
-        Returns (solutions, exhausted): each solution is the per-pattern
-        count vector over the nonzero patterns; the zero pattern absorbs
-        the remaining n - sum(c) rows.  ``exhausted`` is False when the
-        enumeration stopped at ``limit``.
+        Each solution is the per-pattern count vector over the nonzero
+        patterns; the zero pattern absorbs the remaining n - sum(c) rows.
         """
         sols: list[np.ndarray] = []
         counts = np.zeros(len(self.patterns), dtype=np.int64)
@@ -155,8 +156,8 @@ class _Search:
                     return False
             return True
 
-        exhausted = rec(0, self.n)
-        return sols, exhausted
+        rec(0, self.n)
+        return sols
 
     # -- minimum-violation repair -------------------------------------------
 
@@ -222,52 +223,59 @@ class _Search:
         return state["best_counts"], state["best"]
 
 
-def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int, p: int) -> np.ndarray:
+def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int) -> np.ndarray:
     rows = [np.repeat(patterns[i : i + 1], c, axis=0) for i, c in enumerate(counts) if c]
     n_zero = n - int(counts.sum())
-    rows.append(np.zeros((n_zero, p), dtype=np.int8))
+    rows.append(np.zeros((n_zero, patterns.shape[1]), dtype=np.int8))
     return np.concatenate(rows, axis=0)
 
 
+def _start_search(instance: FeasibilityInstance, config: AttackConfig) -> _Search:
+    """Search state for the instance, its deadline starting now."""
+    if instance.p > _P_MAX:
+        raise CapacityError(f"p={instance.p} exceeds the solver's capacity p <= {_P_MAX}")
+    return _Search(instance.gram, instance.n, time.monotonic() + config.timeout_s)
+
+
 def enumerate_reconstructions(
-    instance: FeasibilityInstance,
-    limit: int | None = None,
-    config: AttackConfig = AttackConfig(),
+    instance: FeasibilityInstance, limit: int | None = None, config: AttackConfig = AttackConfig()
 ) -> list[np.ndarray]:
     """All binary matrices (up to row order) whose Gram equals the instance's.
 
-    Intended for small instances; raises CapacityError past config.p_max.
+    Intended for small instances; raises CapacityError past p = 9.
     """
-    if instance.p > config.p_max:
-        raise CapacityError(f"p={instance.p} exceeds the configured limit {config.p_max}")
-    search = _Search(instance.gram, instance.n, time.monotonic() + config.timeout_s)
-    sols, _ = search.enumerate_exact(limit)
-    return [
-        _counts_to_matrix(c, search.patterns, instance.n, instance.p) for c in sols
-    ]
+    search = _start_search(instance, config)
+    sols = search.enumerate_exact(limit)
+    return [_counts_to_matrix(c, search.patterns, instance.n) for c in sols]
 
 
 def reconstruct(
     instance: FeasibilityInstance, config: AttackConfig = AttackConfig()
 ) -> AttackResult:
-    """Solve the 0-1 feasibility problem for one instance (no metrics)."""
-    if instance.p > config.p_max:
-        raise CapacityError(f"p={instance.p} exceeds the configured limit {config.p_max}")
-    deadline = time.monotonic() + config.timeout_s
-    search = _Search(instance.gram, instance.n, deadline)
+    """Solve the 0-1 feasibility problem for one instance (no metrics).
+
+    Exact enumeration stops at two solutions: one gives ``unique``, two
+    ``feasible-multiple``.  Otherwise the minimum-violation repair runs on
+    ``clamp_gram(instance.gram, instance.n)`` under the same deadline, and
+    ``violation`` is the upper-triangle L1 distance from the repaired
+    design's Gram to ``instance.gram`` itself.  A timeout gives ``failed``;
+    p > 9 raises CapacityError.
+    """
+    n = instance.n
+    search = _start_search(instance, config)
     try:
-        sols, exhausted = search.enumerate_exact(limit=2)
+        sols = search.enumerate_exact(limit=2)
         if sols:
             status = "unique" if len(sols) == 1 else "feasible-multiple"
-            X_hat = _counts_to_matrix(sols[0], search.patterns, instance.n, instance.p)
-            return AttackResult(status=status, X_hat=X_hat, violation=0)
-        if not exhausted:
-            return AttackResult(status="failed")
-        counts, violation = search.repair()
-        X_hat = _counts_to_matrix(counts, search.patterns, instance.n, instance.p)
-        return AttackResult(status="infeasible-repaired", X_hat=X_hat, violation=violation)
+            return AttackResult(status, _counts_to_matrix(sols[0], search.patterns, n), violation=0)
+        search.R = clamp_gram(instance.gram, n)  # the repair reuses the pattern tables
+        counts, _ = search.repair()
     except _Timeout:
         return AttackResult(status="failed")
+    X_hat = _counts_to_matrix(counts, search.patterns, n)
+    G = X_hat.astype(np.int64)
+    violation = int(np.abs(np.triu(G.T @ G - instance.gram)).sum())
+    return AttackResult(status="infeasible-repaired", X_hat=X_hat, violation=violation)
 
 
 def hamming_sorted(A: np.ndarray, B: np.ndarray) -> int:
@@ -320,55 +328,22 @@ def attack_pipeline(
     rng_seed: int = 0,
     config: AttackConfig = AttackConfig(),
 ) -> AttackResult:
-    """Release -> round -> solve -> score one attack replicate.
+    """Release -> round -> reconstruct -> score one attack replicate.
 
-    Exact feasibility is judged on the released rounded matrix: a
-    matrix-level success requires the feasibility solver to return a
-    solution reproducing that matrix exactly and matching the true rows
-    after sorting.  When rounding noise breaks feasibility the pipeline
-    falls back to the minimum-violation repair on the clamped matrix;
-    repaired outputs feed the element-level rate only and never count as
-    matrix-level recovery.
+    A matrix-level success requires an exact status, i.e. a solution that
+    reproduces the released rounded matrix, matching the true rows after
+    sorting.  Repaired outputs feed the element-level rate only and never
+    count as matrix-level recovery.
     """
     X = np.asarray(true_X)
-    if X.ndim != 2 or not np.isin(X, (0, 1)).all():
-        raise ValidationError("true_X must be a binary matrix")
+    if X.ndim != 2 or X.size == 0 or not np.isin(X, (0, 1)).all():
+        raise ValidationError(f"true_X must be a binary matrix with n, p >= 1; got shape {X.shape}")
     n, p = X.shape
-    if p > config.p_max:
-        raise CapacityError(f"p={p} exceeds the configured limit {config.p_max}")
     rounded = released_rounded_gram(X, budget, rng_seed)
-
-    deadline = time.monotonic() + config.timeout_s
-    search = _Search(rounded, n, deadline)
-    try:
-        sols, exhausted = search.enumerate_exact(limit=2)
-    except _Timeout:
-        return AttackResult(status="failed")
-    if sols:
-        if not exhausted and len(sols) < 2:
-            return AttackResult(status="failed")
-        status = "unique" if len(sols) == 1 else "feasible-multiple"
-        X_hat = _counts_to_matrix(sols[0], search.patterns, n, p)
-        hamming = hamming_sorted(X_hat, X)
-        return AttackResult(
-            status=status, X_hat=X_hat, violation=0, hamming=hamming,
-            matrix_rate=1 if hamming == 0 else 0,
-            element_rate=1.0 - hamming / (n * p),
-        )
-    if not exhausted:
-        return AttackResult(status="failed")
-
-    repair_search = _Search(clamp_gram(rounded, n), n, deadline)
-    try:
-        counts, _ = repair_search.repair()
-    except _Timeout:
-        return AttackResult(status="failed")
-    X_hat = _counts_to_matrix(counts, repair_search.patterns, n, p)
-    G = X_hat.astype(np.int64)
-    iu, ju = np.triu_indices(p)
-    violation = int(np.abs((G.T @ G - rounded)[iu, ju]).sum())
-    hamming = hamming_sorted(X_hat, X)
-    return AttackResult(
-        status="infeasible-repaired", X_hat=X_hat, violation=violation,
-        hamming=hamming, matrix_rate=0, element_rate=1.0 - hamming / (n * p),
-    )
+    result = reconstruct(FeasibilityInstance(rounded, n), config)
+    if result.status != "failed":
+        result.hamming = hamming_sorted(result.X_hat, X)
+        exact = result.status != "infeasible-repaired"
+        result.matrix_rate = int(exact and result.hamming == 0)
+        result.element_rate = 1.0 - result.hamming / (n * p)
+    return result

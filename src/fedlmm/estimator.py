@@ -65,24 +65,23 @@ class Theta:
         object.__setattr__(self, "beta", beta)
 
 
+# Search box, relative to the pooled outcome scale: sigma2 in
+# [_SIGMA2_MIN_FACTOR, _SIGMA2_MAX_FACTOR] * scale, tau2 in [0, _TAU2_MAX_FACTOR * scale].
+_SIGMA2_MIN_FACTOR = 1e-8
+_SIGMA2_MAX_FACTOR = 1e8
+_TAU2_MAX_FACTOR = 1e8
+# Nelder-Mead stopping rules; _PARAM_TOL is also the Brent tolerance in log(tau2/sigma2).
+_OBJECTIVE_TOL = 1e-10
+_PARAM_TOL = 1e-8
+# Largest cond(sum_k W_k) at which beta is still solved for.
+_COND_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search box and stopping rules for the profile optimization.
+    """Evaluation budget of the search, and an optional caller-fixed tau2."""
 
-    The box is relative to the pooled outcome scale: sigma2 in
-    [sigma2_min_factor, sigma2_max_factor] * scale and tau2 in
-    [0, tau2_max_factor * scale].  The profiled search uses param_tol as its
-    tolerance in log(tau2/sigma2) and the first n_starts start ratios.
-    """
-
-    sigma2_min_factor: float = 1e-8
-    sigma2_max_factor: float = 1e8
-    tau2_max_factor: float = 1e8
-    objective_tol: float = 1e-10
-    param_tol: float = 1e-8
     max_evals: int = 2000
-    n_starts: int = 3
-    cond_limit: float = 1e12
     fix_tau2: float | None = None
 
 
@@ -116,7 +115,7 @@ class FitResult:
 class _Kernel:
     """Stacked-array evaluation of the summary likelihood and its profile."""
 
-    def __init__(self, summaries: FederatedSummarySet, cond_limit: float = 1e12):
+    def __init__(self, summaries: FederatedSummarySet):
         st = summaries.stacked()
         self.n = st["n"]
         self.S_full = st["S"]
@@ -124,7 +123,6 @@ class _Kernel:
         self.K = summaries.K
         self.p = summaries.p
         self.N = float(self.n.sum())
-        self.cond_limit = cond_limit
 
         self.S_sum = self.S_full.sum(axis=0)
         self.sxx_sum = self.S_sum[1:, 1:]
@@ -167,7 +165,7 @@ class _Kernel:
     def profile_beta(self, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         W_sum, Q_sum = self.weight_sums(sigma2, tau2)
         cond = np.linalg.cond(W_sum)
-        if not np.isfinite(cond) or cond > self.cond_limit:
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularDesignError(
                 f"aggregated weight matrix is numerically singular (cond ~ {cond:.3e})", cond
             )
@@ -208,13 +206,13 @@ class _Kernel:
         """Profiled deviance and pooled quadratic at each gamma, or _IllPosed.
 
         Ill-posed means that at some gamma sum_k W_k is not positive definite,
-        its condition number exceeds ``cond_limit``, or the quadratic is not
+        its condition number exceeds ``_COND_LIMIT``, or the quadratic is not
         positive, so sigma2 has no closed form there; REML also needs N > p.
         """
         M = self._ratio_matrix(gammas)
         W, q = M[:, 1:, 1:], M[:, 1:, 0]
         lam = np.linalg.eigvalsh(W)  # ascending; cond = lam_max / lam_min when positive
-        if not ((lam[:, 0] > 0).all() and (lam[:, -1] <= self.cond_limit * lam[:, 0]).all()):
+        if not ((lam[:, 0] > 0).all() and (lam[:, -1] <= _COND_LIMIT * lam[:, 0]).all()):
             raise _IllPosed
         quad = M[:, 0, 0] - (q * np.linalg.solve(W, q[..., None])[..., 0]).sum(axis=1)
         if not (quad > 0).all() or (reml and self.N <= self.p):
@@ -299,20 +297,20 @@ def _minimize_nm(fun, x0: np.ndarray, config: OptimizerConfig):
         x0,
         method="Nelder-Mead",
         options={
-            "xatol": config.param_tol,
-            "fatol": config.objective_tol,
+            "xatol": _PARAM_TOL,
+            "fatol": _OBJECTIVE_TOL,
             "maxfev": config.max_evals,
             "disp": False,
         },
     )
 
 
-def _search_space(kernel: _Kernel, config: OptimizerConfig) -> _SearchSpace:
+def _search_space(kernel: _Kernel) -> _SearchSpace:
     scale = kernel.scale()
     return _SearchSpace(
-        sigma2_lo=config.sigma2_min_factor * scale,
-        sigma2_hi=config.sigma2_max_factor * scale,
-        tau2_hi=config.tau2_max_factor * scale,
+        sigma2_lo=_SIGMA2_MIN_FACTOR * scale,
+        sigma2_hi=_SIGMA2_MAX_FACTOR * scale,
+        tau2_hi=_TAU2_MAX_FACTOR * scale,
     )
 
 
@@ -342,7 +340,7 @@ def _profiled_search(
     dev = grid[1:]
     best = None  # (deviance, log gamma)
     refined = set()
-    for ratio in _START_RATIOS[: config.n_starts]:
+    for ratio in _START_RATIOS:
         i = int(np.abs(_LOG_GAMMA - np.log(ratio)).argmin())
         while True:  # walk down to the local grid minimum
             j = min((k for k in (i - 1, i, i + 1) if 0 <= k < len(dev)), key=dev.__getitem__)
@@ -361,7 +359,7 @@ def _profiled_search(
                     lambda t: kernel.grid_deviance(np.exp([t]), reml)[0][0],
                     bounds=(_LOG_GAMMA[max(i - 1, 0)], _LOG_GAMMA[i + 1]),
                     method="bounded",
-                    options={"xatol": config.param_tol, "maxiter": budget},
+                    options={"xatol": _PARAM_TOL, "maxiter": budget},
                 )
             except _IllPosed:
                 return None
@@ -387,7 +385,7 @@ def _profiled_search(
         quad, value, boundary = q[0], to_value(d[0]), False
     sigma2 = float(quad / m)
     tau2 = gamma * sigma2
-    space = _search_space(kernel, config)
+    space = _search_space(kernel)
     if not (space.sigma2_lo <= sigma2 <= space.sigma2_hi and tau2 <= space.tau2_hi):
         return None
     return sigma2, tau2, float(value), converged, n_evals, boundary
@@ -401,7 +399,7 @@ def _run_profile_search(
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
     scale = kernel.scale()
-    space = _search_space(kernel, config)
+    space = _search_space(kernel)
 
     value_of = kernel.profile_value if objective == "ml" else kernel.reml_value
 
@@ -430,7 +428,7 @@ def _run_profile_search(
         (0.5 * s2_start, 0.5 * s2_start),
         (0.9 * s2_start, 0.1 * s2_start),
         (0.3 * s2_start, min(1.0 * s2_start, space.tau2_hi)),
-    ][: config.n_starts]
+    ]
 
     n_evals = 0
     best = None  # (value, sigma2, tau2, success)
@@ -498,9 +496,7 @@ def _finalize(
     )
 
 
-def evaluate_fit(
-    summaries: FederatedSummarySet, theta: Theta, cond_limit: float = 1e12
-) -> FitResult:
+def evaluate_fit(summaries: FederatedSummarySet, theta: Theta) -> FitResult:
     """Package a caller-chosen theta as a FitResult with cached weights.
 
     No optimization happens; beta is taken as-is.  Useful for computing
@@ -510,7 +506,7 @@ def evaluate_fit(
         raise ValidationError(
             f"beta has length {theta.beta.shape[0]} but summaries have p={summaries.p}"
         )
-    kernel = _Kernel(summaries, cond_limit=cond_limit)
+    kernel = _Kernel(summaries)
     W, Q = kernel.per_site_weights(theta.sigma2, theta.tau2)
     W_sum, Q_sum = kernel.weight_sums(theta.sigma2, theta.tau2)
     return FitResult(
@@ -534,7 +530,7 @@ def fit_ml(
     """
     if summaries.K < 2 and config.fix_tau2 is None:
         raise ValidationError("ML fit needs at least 2 sites unless tau2 is fixed")
-    kernel = _Kernel(summaries, cond_limit=config.cond_limit)
+    kernel = _Kernel(summaries)
     found = None if config.fix_tau2 is not None else _profiled_search(kernel, config, reml=False)
     if found is not None:
         return _finalize(kernel, "ML", "profile", *found)
@@ -557,7 +553,7 @@ def fit_reml(
         )
     if summaries.K < 2 and config.fix_tau2 is None:
         raise ValidationError("REML fit needs at least 2 sites unless tau2 is fixed")
-    kernel = _Kernel(summaries, cond_limit=config.cond_limit)
+    kernel = _Kernel(summaries)
     found = None if config.fix_tau2 is not None else _profiled_search(kernel, config, reml=True)
     if found is not None:
         return _finalize(kernel, "REML", "profile", *found)

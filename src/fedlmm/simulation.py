@@ -22,7 +22,7 @@ import numpy as np
 
 from . import attack as attack_mod
 from .errors import FedLMMError, ValidationError
-from .estimator import OptimizerConfig, fit_ml
+from .estimator import fit_ml
 from .privacy import CalibrationRule, calibrate, privatize
 from .summaries import SiteData, compute_summary, merge_summaries, standardize
 from .variance import apply_correction, cr0
@@ -167,8 +167,8 @@ def _derived_seed(parts: Sequence[int]) -> int:
     return int(np.random.SeedSequence(entropy=list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _fit_arm(summaries, record, config):
-    fit = fit_ml(summaries, config)
+def _fit_arm(summaries, record):
+    fit = fit_ml(summaries)
     beta = record.beta_to_original(fit.theta_hat.beta)
     v = cr0(summaries, fit)
     return fit, beta, v
@@ -181,7 +181,6 @@ def one_replicate(
     replicate: int,
     correction: str = "cr0",
     arms: Sequence[str] = ARMS,
-    config: OptimizerConfig = OptimizerConfig(),
 ) -> list[MetricRow]:
     """All arms of one replicate on common generated data."""
     rows: list[MetricRow] = []
@@ -211,7 +210,7 @@ def one_replicate(
 
     beta0 = scenario.beta0_analysis
     try:
-        ipd_fit, ipd_beta, ipd_v = _fit_arm(summaries, record, config)
+        ipd_fit, ipd_beta, ipd_v = _fit_arm(summaries, record)
     except (FedLMMError, np.linalg.LinAlgError):
         return all_failed()
     ipd_vc = apply_correction(ipd_v, correction)
@@ -252,7 +251,7 @@ def one_replicate(
                         for s in summaries
                     ]
                 )
-                fit, beta, v = _fit_arm(noisy, record, config)
+                fit, beta, v = _fit_arm(noisy, record)
             except (FedLMMError, np.linalg.LinAlgError):
                 rows.append(failed_row(arm, float(eps)))
                 continue

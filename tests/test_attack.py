@@ -15,6 +15,7 @@ from fedlmm import (
     hamming_sorted,
     reconstruct,
 )
+from fedlmm.attack import clamp_gram
 
 from oracles import gram_fibers
 
@@ -65,26 +66,42 @@ class TestReconstruct:
                     assert hamming_sorted(result.X_hat, truth) == 0
 
     def test_min_violation_repair_matches_brute_force(self):
-        # off-diagonal exceeds a diagonal entry: infeasible by construction
-        gram = np.array([[2, 2], [2, 1]], dtype=np.int64)
-        n = 2
-        best = min(
-            int(np.abs(np.triu(np.array(bits).reshape(n, 2).T @ np.array(bits).reshape(n, 2) - gram)).sum())
-            for bits in itertools.product((0, 1), repeat=n * 2)
-        )
-        result = reconstruct(FeasibilityInstance(gram=gram, n=n))
-        assert result.status == "infeasible-repaired"
-        assert result.violation == best
-        G = result.X_hat.astype(np.int64)
-        got = int(np.abs(np.triu(G.T @ G - gram)).sum())
-        assert got == result.violation
+        # Every symmetric integer 2 x 2 Gram with entries in [-1, n + 1], n <= 2.
+        def triu_l1(X, gram):
+            G = np.asarray(X, dtype=np.int64)
+            return int(np.abs(np.triu(G.T @ G - gram)).sum())
+
+        infeasible = 0
+        for n in (1, 2):
+            designs = [np.array(bits).reshape(n, 2) for bits in itertools.product((0, 1), repeat=2 * n)]
+            for a, b, c in itertools.product(range(-1, n + 2), repeat=3):
+                gram = np.array([[a, b], [b, c]], dtype=np.int64)
+                result = reconstruct(FeasibilityInstance(gram=gram, n=n))
+                if result.status != "infeasible-repaired":
+                    continue
+                infeasible += 1
+                clamped = clamp_gram(gram, n)
+                assert triu_l1(result.X_hat, clamped) == min(triu_l1(X, clamped) for X in designs)
+                assert result.violation == triu_l1(result.X_hat, gram)
+        assert infeasible == 175
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            reconstruct(FeasibilityInstance(gram=np.zeros((13, 13), dtype=int), n=3))
+        for p in (10, 13):
+            instance = FeasibilityInstance(gram=np.zeros((p, p), dtype=int), n=3)
+            with pytest.raises(CapacityError):
+                reconstruct(instance)
+            with pytest.raises(CapacityError):
+                enumerate_reconstructions(instance)
+            with pytest.raises(CapacityError):
+                attack_pipeline(np.zeros((3, p), dtype=np.int8))
+
+    def test_zero_gram_at_capacity_unique(self):
+        result = reconstruct(FeasibilityInstance(gram=np.zeros((9, 9), dtype=int), n=3))
+        assert result.status == "unique"
+        assert result.X_hat.shape == (3, 9) and not result.X_hat.any()
 
     def test_timeout_gives_failed(self, rng):
-        p, n = 10, 40
+        p, n = 9, 40
         gram = np.zeros((p, p), dtype=np.int64)
         iu = np.triu_indices(p, 1)
         vals = rng.integers(0, n // 2, size=len(iu[0]))
@@ -154,8 +171,9 @@ class TestPipeline:
         assert a.element_rate == b.element_rate
 
     def test_rejects_nonbinary(self):
-        with pytest.raises(ValidationError, match="binary"):
-            attack_pipeline(np.array([[0.5, 1.0]]))
+        for X in (np.array([[0.5, 1.0]]), np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(ValidationError, match="binary"):
+                attack_pipeline(X)
 
     def test_released_gram_symmetric_and_integer(self, rng):
         from fedlmm.attack import released_rounded_gram

@@ -210,6 +210,15 @@ class TestAttackCommand:
         assert row["epsilon0"] == "ref"
         assert float(row["matrix_rate"]) > 0.5
 
+    @pytest.mark.parametrize("n, p", [("0", "3"), ("3", "0"), ("3", "10")])
+    def test_unsolvable_design_exits_1(self, tmp_path, capsys, n, p):
+        out = tmp_path / "rates.csv"
+        rc = run(["attack", "--n", n, "--p", p, "--reps", "2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulateCommands:
     def test_estimation_smoke(self, tmp_path):
@@ -229,6 +238,13 @@ class TestSimulateCommands:
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 4
         assert {r["epsilon0"] for r in rows} == {"ref", "8.0"}
+
+    @pytest.mark.parametrize("n, p", [("2,0", "2"), ("2", "2,0")])
+    def test_reconstruction_empty_design_exits_1(self, tmp_path, capsys, n, p):
+        rc = run(["simulate-reconstruction", "--n", n, "--p", p, "--epsilon0", "ref",
+                  "--reps", "2", "--out", str(tmp_path / "rates.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEndToEnd:

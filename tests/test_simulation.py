@@ -237,3 +237,6 @@ class TestReconstructionCell:
         a = run_reconstruction_cell(n=4, p=3, epsilon0=8.0, reps=25, seed=7)
         b = run_reconstruction_cell(n=4, p=3, epsilon0=8.0, reps=25, seed=7)
         assert a == b
+        assert a["matrix_rate"] == 0.4
+        assert a["element_rate"] == 0.9433333333333335
+        assert a["failed"] == 0
