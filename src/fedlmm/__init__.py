@@ -13,6 +13,7 @@ from .errors import (
     CapacityError,
     FedLMMError,
     SingularDesignError,
+    SolverTimeoutError,
     ValidationError,
 )
 from .summaries import (

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, SolverTimeoutError, ValidationError
 from .privacy import PrivacyBudget, gaussian_mechanism
 
 
@@ -74,10 +74,6 @@ class AttackResult:
     element_rate: float | None = None
 
 
-class _Timeout(Exception):
-    pass
-
-
 def _patterns(p: int) -> np.ndarray:
     """All nonzero binary patterns, descending (popcount, value)."""
     codes = np.arange(1, 2**p, dtype=np.int64)
@@ -120,7 +116,7 @@ class _Search:
     def _tick(self):
         self.nodes += 1
         if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            raise _Timeout
+            raise SolverTimeoutError("reconstruction search exceeded its time limit")
 
     # -- exact feasibility -------------------------------------------------
 
@@ -242,7 +238,8 @@ def enumerate_reconstructions(
 ) -> list[np.ndarray]:
     """All binary matrices (up to row order) whose Gram equals the instance's.
 
-    Intended for small instances; raises CapacityError past p = 9.
+    Intended for small instances; raises CapacityError past p = 9 and
+    SolverTimeoutError once the search runs past ``config.timeout_s``.
     """
     search = _start_search(instance, config)
     sols = search.enumerate_exact(limit)
@@ -270,7 +267,7 @@ def reconstruct(
             return AttackResult(status, _counts_to_matrix(sols[0], search.patterns, n), violation=0)
         search.R = clamp_gram(instance.gram, n)  # the repair reuses the pattern tables
         counts, _ = search.repair()
-    except _Timeout:
+    except SolverTimeoutError:
         return AttackResult(status="failed")
     X_hat = _counts_to_matrix(counts, search.patterns, n)
     G = X_hat.astype(np.int64)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,36 +68,73 @@ def _split_ints(text: str) -> list[int]:
 # -- summarize ----------------------------------------------------------------
 
 
+def _loadtxt(fh, usecols: list[int], dtype) -> np.ndarray:
+    """One C-level parse of the comma-separated rows left in ``fh``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input and blank lines
+        return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                          usecols=usecols, dtype=dtype, ndmin=2)
+
+
 def _read_csv_columns(path: str, columns: list[str], site_col: str | None):
-    """Parse named numeric columns; report the exact cell on failure."""
+    """Parse named numeric columns and the site column of a CSV file.
+
+    Returns a float array of shape ``(rows, len(columns))`` and the site
+    id of each row (``""`` when ``site_col`` is None or empty).  The
+    dialect is ``csv``'s default: comma-delimited, ``"`` quoting, blank
+    lines skipped, and extra trailing fields ignored.  A header name that
+    occurs twice refers to its last column.  Cells are decimal numbers
+    as numpy's C parser reads them (``1_0`` and non-ASCII digits are
+    rejected).  A parse failure is re-read row by row only to name the
+    offending cell.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty CSV (no header row)")
-        missing = [c for c in columns + ([site_col] if site_col else []) if c not in reader.fieldnames]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}")
-        values: list[list[float]] = []
-        site_ids: list[str] = []
-        for i, record in enumerate(reader, start=1):
-            row = []
-            for c in columns:
-                cell = record[c]
-                try:
-                    row.append(float(cell))
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"{path}: non-numeric value {cell!r} in column {c!r}, data row {i}"
-                    ) from None
-            values.append(row)
-            site_ids.append(record[site_col] if site_col else "")
-    if not values:
+    try:
+        with fh:
+            if not fh.seekable():  # a pipe: buffer it so that both passes can rewind
+                fh = io.StringIO(fh.read(), newline="")
+            first = fh.readline()
+            if not first:
+                raise ValidationError(f"{path}: empty CSV (no header row)")
+            header = next(csv.reader([first]))
+            index = {name: j for j, name in enumerate(header)}
+            missing = [c for c in columns + ([site_col] if site_col else []) if c not in index]
+            if missing:
+                raise ValidationError(f"{path}: missing columns {missing}")
+            body = fh.tell()
+            try:
+                values = _loadtxt(fh, [index[c] for c in columns], float)
+                site_ids = [""] * len(values)
+                if site_col:
+                    fh.seek(body)
+                    site_ids = _loadtxt(fh, [index[site_col]], object)[:, 0].tolist()
+            except ValueError as exc:
+                fh.seek(body)
+                _raise_bad_cell(path, csv.DictReader(fh, fieldnames=header), columns, site_col)
+                raise ValidationError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not len(values):
         raise ValidationError(f"{path}: no data rows")
-    return np.array(values), site_ids
+    return values, site_ids
+
+
+def _raise_bad_cell(path: str, records, columns: list[str], site_col: str | None) -> None:
+    """Name the first cell of ``records`` that ``float()`` rejects or that is absent."""
+    for i, record in enumerate(records, start=1):
+        for c in columns:
+            cell = record[c]
+            try:
+                float(cell)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{path}: non-numeric value {cell!r} in column {c!r}, data row {i}"
+                ) from None
+        if site_col and record[site_col] is None:
+            raise ValidationError(f"{path}: no value in column {site_col!r}, data row {i}")
 
 
 def cmd_summarize(args) -> int:
@@ -114,13 +153,20 @@ def cmd_summarize(args) -> int:
         groups = [(sid, rows_of[sid]) for sid in sorted(rows_of)]
     else:
         groups = [(args.site_id, slice(None))]
+    site_of_stem: dict[str, str] = {}
+    for sid, _ in groups:
+        stem = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in sid) or "site"
+        if stem in site_of_stem:
+            raise ValidationError(
+                f"site ids {site_of_stem[stem]!r} and {sid!r} both map to {stem}.json"
+            )
+        site_of_stem[stem] = sid
     out_dir = _out_path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for sid, rows in groups:
+    for (sid, rows), stem in zip(groups, site_of_stem):
         site = SiteData(site_id=sid, y=y_all[rows], X=X_all[rows])
         summary = compute_summary(site)
-        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in sid) or "site"
-        target = out_dir / f"{safe}.json"
+        target = out_dir / f"{stem}.json"
         save_summary(summary, target)
         print(target)
     return 0

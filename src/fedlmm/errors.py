@@ -19,3 +19,7 @@ class SingularDesignError(FedLMMError):
 
 class CapacityError(FedLMMError):
     """Problem size exceeds a configured capacity limit."""
+
+
+class SolverTimeoutError(FedLMMError):
+    """A reconstruction search ran past its configured time limit."""

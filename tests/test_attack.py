@@ -8,6 +8,8 @@ from fedlmm import (
     CalibrationRule,
     CapacityError,
     FeasibilityInstance,
+    FedLMMError,
+    SolverTimeoutError,
     ValidationError,
     attack_pipeline,
     calibrate,
@@ -18,6 +20,17 @@ from fedlmm import (
 from fedlmm.attack import clamp_gram
 
 from oracles import gram_fibers
+
+
+def _hard_instance(rng, p=9, n=40):
+    """A dense random Gram that no search finishes within 0.01 s."""
+    gram = np.zeros((p, p), dtype=np.int64)
+    iu = np.triu_indices(p, 1)
+    vals = rng.integers(0, n // 2, size=len(iu[0]))
+    gram[iu] = vals
+    gram[(iu[1], iu[0])] = vals
+    np.fill_diagonal(gram, rng.integers(n // 2, n, size=p))
+    return FeasibilityInstance(gram=gram, n=n)
 
 
 def _row_multiset(X):
@@ -101,18 +114,14 @@ class TestReconstruct:
         assert result.X_hat.shape == (3, 9) and not result.X_hat.any()
 
     def test_timeout_gives_failed(self, rng):
-        p, n = 9, 40
-        gram = np.zeros((p, p), dtype=np.int64)
-        iu = np.triu_indices(p, 1)
-        vals = rng.integers(0, n // 2, size=len(iu[0]))
-        gram[iu] = vals
-        gram[(iu[1], iu[0])] = vals
-        np.fill_diagonal(gram, rng.integers(n // 2, n, size=p))
-        result = reconstruct(
-            FeasibilityInstance(gram=gram, n=n), AttackConfig(timeout_s=0.01)
-        )
+        result = reconstruct(_hard_instance(rng), AttackConfig(timeout_s=0.01))
         assert result.status == "failed"
         assert result.X_hat is None
+
+    def test_enumeration_timeout_raises_public_error(self, rng):
+        with pytest.raises(SolverTimeoutError) as info:
+            enumerate_reconstructions(_hard_instance(rng), config=AttackConfig(timeout_s=0.01))
+        assert isinstance(info.value, FedLMMError)
 
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from fedlmm import ipd, load_summary
-from fedlmm.cli import end_to_end, main, write_bundle_csv
+from fedlmm.cli import _read_csv_columns, end_to_end, main, write_bundle_csv
 from fedlmm.summaries import SiteData, compute_summary
 
 
@@ -88,6 +90,84 @@ class TestSummarize:
             assert got.n == len(values)
             np.testing.assert_array_equal(got.S, want.S)
             np.testing.assert_array_equal(got.T, want.T)
+
+    def test_colliding_file_names_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text("site,y,x\na b,1.0,0\na_b,2.0,1\na_b,0.5,0\n")
+        out = tmp_path / "sums"
+        rc = run(["summarize", "--csv", str(path), "--outcome", "y",
+                  "--covariates", "x", "--site-col", "site", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'a b'" in err and "'a_b'" in err
+        assert not out.exists()
+
+
+# (file text, expected (site, y, x) rows or a fragment of the error message)
+INGEST_CASES = {
+    "crlf": ("site,y,x\r\na,1,2\r\nb,3,4\r\n", [("a", 1, 2), ("b", 3, 4)]),
+    "quoted-comma-and-number": ('site,y,x\n"a,b","1.5",2\n', [("a,b", 1.5, 2)]),
+    "blank-lines-skipped": ("site,y,x\n\na,1,2\n\n\nb,3,4\n\n", [("a", 1, 2), ("b", 3, 4)]),
+    "blank-lines-not-counted": ("site,y,x\n\na,1,2\n\nb,3,oops\n",
+                                "non-numeric value 'oops' in column 'x', data row 2"),
+    "hash-in-site-id": ("site,y,x\na#b,1,2\n#c,3,4\n", [("a#b", 1, 2), ("#c", 3, 4)]),
+    "short-row": ("site,y,x\na,1,2\nb,3\n", "non-numeric value None in column 'x', data row 2"),
+    "short-row-without-site": ("y,x,site\n1,2,a\n3,4\n", "no value in column 'site', data row 2"),
+    "extra-fields-ignored": ("site,y,x\na,1,2,9,zz\n", [("a", 1, 2)]),
+    "long-site-id": ("site,y,x\n" + "s" * 100 + ",1,2\nt,3,4\n", [("s" * 100, 1, 2), ("t", 3, 4)]),
+    "bom-header": ("\ufeffsite,y,x\na,1,2\n", "missing columns ['site']"),
+    "empty-cell": ("site,y,x\na,1,2\nb,,4\n", "non-numeric value '' in column 'y', data row 2"),
+    "no-final-newline": ("site,y,x\na,1,2\nb,3,4", [("a", 1, 2), ("b", 3, 4)]),
+    "underscore-rejected": ("site,y,x\na,1_0,2\n", "could not convert string '1_0'"),
+    "not-utf8": (b"site,y,x\na\xe9,1,2\n", "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("text, expected", INGEST_CASES.values(), ids=INGEST_CASES.keys())
+def test_ingest_dialect(tmp_path, capsys, text, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    rc = run(["summarize", "--csv", str(path), "--outcome", "y", "--covariates", "x",
+              "--site-col", "site", "--out", str(tmp_path / "sums")])
+    err = capsys.readouterr().err
+    if isinstance(expected, str):
+        assert rc == 1
+        assert err.startswith("error: ") and expected in err and "Traceback" not in err
+        return
+    assert rc == 0
+    values, site_ids = _read_csv_columns(str(path), ["y", "x"], "site")
+    assert site_ids == [sid for sid, _, _ in expected]
+    assert all(type(sid) is str for sid in site_ids)
+    np.testing.assert_array_equal(values, [[y, x] for _, y, x in expected])
+
+
+def test_ingest_bit_identical_to_float(tmp_path):
+    rng = np.random.default_rng(5)
+    finite = rng.integers(0, 2**63, size=2400, dtype=np.uint64).view(np.float64)
+    finite = np.where(np.isfinite(finite), finite, 1.5)
+    subnormal = rng.integers(1, 2**52, size=800, dtype=np.uint64).view(np.float64)
+    cells = np.concatenate([finite, subnormal, rng.normal(0.0, 1e3, 800)])
+    cells = (cells * rng.choice([-1.0, 1.0], size=cells.size)).reshape(-1, 2)
+    lines = ["site,y,x"] + [f"s{i % 7},{y!r},{x!r}" for i, (y, x) in enumerate(cells.tolist())]
+    path = tmp_path / "doubles.csv"
+    path.write_text("\n".join(lines) + "\n")
+    reference = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
+    values, site_ids = _read_csv_columns(str(path), ["y", "x"], "site")
+    assert values.shape == (2000, 2)
+    assert values.tobytes() == reference.tobytes()
+    assert site_ids == [f"s{i % 7}" for i in range(2000)]
+
+
+def test_ingest_from_pipe(tmp_path):
+    fifo = tmp_path / "rows.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("site,y,x\na,1,2\nb,3,4\n",), daemon=True)
+    writer.start()
+    values, site_ids = _read_csv_columns(str(fifo), ["y", "x"], "site")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
+    assert site_ids == ["a", "b"]
 
 
 @pytest.fixture
