@@ -16,7 +16,12 @@ When rounding noise makes the instance infeasible, the attacker clamps
 the Gram into the ranges a binary design can have (``clamp_gram``) and
 falls back to the count vector with the smallest total L1 deviation from
 the clamped constraints, so element-level accuracy is always defined.
-Both searches recurse once per pattern, so recursion depth caps p at 9.
+That repair is a branch-and-bound over the same pattern order: a greedy
+incumbent, counts tried in descending order under a diagonal cap, and an
+L1 lower bound at every node.  It keeps its residual as plain Python ints
+over the upper-triangle slots, because numpy's per-call overhead on at
+most 45 entries would dominate each node.  Both searches recurse once per
+pattern, so recursion depth caps p at 9.
 """
 
 from __future__ import annotations
@@ -93,25 +98,20 @@ class _Search:
         self.R = gram.astype(np.int64).copy()
         self.deadline = deadline
         self.nodes = 0
-        # Per pattern: index arrays of the symmetric entries it covers and
-        # its diagonal cells; per level: entries no longer coverable.
+        # Per pattern: index arrays of the symmetric entries it covers; per
+        # level: entries no longer coverable.
         self.cover_idx: list[tuple[np.ndarray, np.ndarray]] = []
-        self.diag_idx: list[np.ndarray] = []
         for u in self.patterns:
             sup = np.flatnonzero(u)
             rows = np.repeat(sup, sup.size)
             cols = np.tile(sup, sup.size)
             self.cover_idx.append((rows, cols))
-            self.diag_idx.append(sup)
         covered = np.zeros((len(self.patterns) + 1, self.p, self.p), dtype=bool)
         for idx in range(len(self.patterns) - 1, -1, -1):
             covered[idx] = covered[idx + 1]
             rows, cols = self.cover_idx[idx]
             covered[idx, rows, cols] = True
         self.uncovered_from = ~covered
-        iu, ju = np.triu_indices(self.p)
-        self.triu = (iu, ju)
-        self.covered_triu_from = covered[:, iu, ju]
 
     def _tick(self):
         self.nodes += 1
@@ -157,66 +157,83 @@ class _Search:
 
     # -- minimum-violation repair -------------------------------------------
 
-    def _lower_bound(self, idx: int, n_rem: int) -> int:
-        iu, ju = self.triu
-        r = self.R[iu, ju]
-        covered = self.covered_triu_from[idx]
-        lb = np.abs(np.where(covered, 0, r)).sum()
-        lb += np.clip(np.where(covered, r, 0) - n_rem, 0, None).sum()
-        lb += np.clip(np.where(covered, -r, 0), 0, None).sum()
-        return int(lb)
-
-    def _violation(self) -> int:
-        iu, ju = self.triu
-        return int(np.abs(self.R[iu, ju]).sum())
-
     def repair(self) -> tuple[np.ndarray, int]:
-        """Count vector minimizing total L1 deviation over the constraints."""
-        counts = np.zeros(len(self.patterns), dtype=np.int64)
-        # Greedy incumbent: exact-style caps all the way down.
-        best_counts = counts.copy()
-        n_rem = self.n
-        for idx in range(len(self.patterns)):
-            rows, cols = self.cover_idx[idx]
-            c = min(n_rem, max(0, int(self.R[rows, cols].min())))
-            best_counts[idx] = c
-            self.R[rows, cols] -= c
-            n_rem -= c
-        best_viol = self._violation()
-        for idx in range(len(self.patterns) - 1, -1, -1):
-            rows, cols = self.cover_idx[idx]
-            self.R[rows, cols] += best_counts[idx]
+        """Count vector minimizing total L1 deviation over the constraints.
 
-        state = {"best": best_viol, "best_counts": best_counts}
+        The residual is a flat list of plain ints, one per upper-triangle
+        slot (j <= k); each pattern subtracts its count from the slots it
+        covers.
+        """
+        n_pat = len(self.patterns)
+        iu, ju = np.triu_indices(self.p)
+        slot = {jk: s for s, jk in enumerate(zip(iu.tolist(), ju.tolist()))}
+        R = self.R[iu, ju].tolist()
+        cover: list[tuple[int, ...]] = []
+        diag: list[tuple[int, ...]] = []
+        for u in self.patterns:
+            sup = np.flatnonzero(u).tolist()
+            cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
+            diag.append(tuple(slot[j, j] for j in sup))
+        # Per level: slots a pattern from idx onward still covers, and the rest.
+        covered_from = [()] * (n_pat + 1)
+        uncovered_from = [tuple(range(len(R)))] * (n_pat + 1)
+        covered: set[int] = set()
+        for idx in range(n_pat - 1, -1, -1):
+            covered.update(cover[idx])
+            covered_from[idx] = tuple(sorted(covered))
+            uncovered_from[idx] = tuple(s for s in range(len(R)) if s not in covered)
+
+        # Greedy incumbent: exact-style caps all the way down.
+        G = R.copy()
+        best_counts = [0] * n_pat
+        n_rem = self.n
+        for idx, slots in enumerate(cover):
+            c = min(n_rem, max(0, min(G[s] for s in slots)))
+            best_counts[idx] = c
+            for s in slots:
+                G[s] -= c
+            n_rem -= c
+        best = sum(map(abs, G))
+        counts = [0] * n_pat
 
         def rec(idx: int, n_rem: int):
+            nonlocal best, best_counts
             self._tick()
-            if self._lower_bound(idx, n_rem) >= state["best"]:
+            # L1 lower bound: slots nothing can reach keep |r|; a reachable
+            # slot still costs whatever lies above n_rem or below 0.
+            lb = 0
+            for s in uncovered_from[idx]:
+                lb += abs(R[s])
+            for s in covered_from[idx]:
+                r = R[s]
+                if r > n_rem:
+                    lb += r - n_rem
+                elif r < 0:
+                    lb -= r
+            if lb >= best:
                 return
-            if idx == len(self.patterns):
-                viol = self._violation()
-                if viol < state["best"]:
-                    state["best"] = viol
-                    state["best_counts"] = counts.copy()
+            if idx == n_pat:  # every slot is uncovered, so lb is the violation
+                best, best_counts = lb, counts.copy()
                 return
-            rows, cols = self.cover_idx[idx]
+            slots = cover[idx]
             # A count c units above any covered diagonal cell costs at least
             # c - R_jj on that cell alone, so cap by the incumbent.
-            diag = self.R[self.diag_idx[idx], self.diag_idx[idx]]
-            c_cap = min(n_rem, max(0, int(diag.min())) + state["best"])
+            c_cap = min(n_rem, max(0, min(R[s] for s in diag[idx])) + best)
             for c in range(c_cap, -1, -1):
                 if c:
-                    self.R[rows, cols] -= c
+                    for s in slots:
+                        R[s] -= c
                 counts[idx] = c
                 rec(idx + 1, n_rem - c)
                 if c:
-                    self.R[rows, cols] += c
+                    for s in slots:
+                        R[s] += c
                 counts[idx] = 0
-                if state["best"] == 0:
+                if best == 0:
                     return
 
         rec(0, self.n)
-        return state["best_counts"], state["best"]
+        return np.array(best_counts, dtype=np.int64), best
 
 
 def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int) -> np.ndarray:

@@ -123,12 +123,18 @@ def _read_csv_columns(path: str, columns: list[str], site_col: str | None):
 
 
 def _raise_bad_cell(path: str, records, columns: list[str], site_col: str | None) -> None:
-    """Name the first cell of ``records`` that ``float()`` rejects or that is absent."""
+    """Name the first cell of ``records`` that numpy's parser rejects or that is absent.
+
+    That is a cell ``float()`` rejects, or one it accepts but numpy does
+    not: digit-group underscores and non-ASCII digits.
+    """
     for i, record in enumerate(records, start=1):
         for c in columns:
             cell = record[c]
             try:
                 float(cell)
+                if "_" in cell or not cell.isascii():
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"{path}: non-numeric value {cell!r} in column {c!r}, data row {i}"

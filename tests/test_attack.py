@@ -98,6 +98,41 @@ class TestReconstruct:
                 assert result.violation == triu_l1(result.X_hat, gram)
         assert infeasible == 175
 
+    def test_min_violation_repair_matches_brute_force_p3(self):
+        # Noisy Grams of random n x 3 designs, n <= 3, against every n x 3 design.
+        rng = np.random.default_rng(31)
+        designs = {
+            n: np.array(list(itertools.product((0, 1), repeat=3 * n)), dtype=np.int64).reshape(-1, n, 3)
+            for n in (1, 2, 3)
+        }
+        design_grams = {n: np.einsum("dij,dik->djk", D, D) for n, D in designs.items()}
+
+        def triu_l1(G, gram):
+            return np.abs(np.triu(G - gram)).sum(axis=(-2, -1))
+
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            X = (rng.random((n, 3)) < 0.5).astype(np.int64)
+            noise = rng.integers(-2, 3, size=(3, 3))
+            gram = X.T @ X + np.triu(noise) + np.triu(noise, 1).T
+            result = reconstruct(FeasibilityInstance(gram=gram, n=n))
+            assert result.status == "infeasible-repaired"
+            G = result.X_hat.T.astype(np.int64) @ result.X_hat
+            clamped = clamp_gram(gram, n)
+            assert triu_l1(G, clamped) == triu_l1(design_grams[n], clamped).min()
+            assert result.violation == triu_l1(G, gram)
+
+    def test_repair_timeout_gives_failed(self, rng):
+        # A negative off-diagonal ends the exact search at its root node, so
+        # the deadline falls inside the repair.
+        gram = _hard_instance(rng).gram.copy()
+        gram[0, 1] = gram[1, 0] = -1
+        instance = FeasibilityInstance(gram=gram, n=40)
+        assert not enumerate_reconstructions(instance)
+        result = reconstruct(instance, AttackConfig(timeout_s=0.01))
+        assert result.status == "failed"
+        assert result.X_hat is None
+
     def test_capacity_error(self):
         for p in (10, 13):
             instance = FeasibilityInstance(gram=np.zeros((p, p), dtype=int), n=3)

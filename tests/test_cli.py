@@ -118,7 +118,9 @@ INGEST_CASES = {
     "bom-header": ("\ufeffsite,y,x\na,1,2\n", "missing columns ['site']"),
     "empty-cell": ("site,y,x\na,1,2\nb,,4\n", "non-numeric value '' in column 'y', data row 2"),
     "no-final-newline": ("site,y,x\na,1,2\nb,3,4", [("a", 1, 2), ("b", 3, 4)]),
-    "underscore-rejected": ("site,y,x\na,1_0,2\n", "could not convert string '1_0'"),
+    "underscore-rejected": ("site,y,x\na,1_0,2\n", "non-numeric value '1_0' in column 'y', data row 1"),
+    "arabic-digit-rejected": ("site,y,x\na,1,2\nb,3,\u0661\n",
+                              "non-numeric value '\u0661' in column 'x', data row 2"),
     "not-utf8": (b"site,y,x\na\xe9,1,2\n", "not UTF-8 text"),
 }
 

@@ -240,3 +240,9 @@ class TestReconstructionCell:
         assert a["matrix_rate"] == 0.4
         assert a["element_rate"] == 0.9433333333333335
         assert a["failed"] == 0
+
+    def test_repair_heavy_cell_pinned(self):
+        row = run_reconstruction_cell(n=5, p=5, epsilon0=8.0, reps=20, seed=0)
+        assert row["matrix_rate"] == 0.0
+        assert row["element_rate"] == 0.9080000000000001
+        assert row["failed"] == 0
