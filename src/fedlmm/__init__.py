@@ -30,7 +30,6 @@ from .summaries import (
 )
 from .estimator import (
     FitResult,
-    OptimizerConfig,
     Theta,
     evaluate_fit,
     fit_ml,

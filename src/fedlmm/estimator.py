@@ -28,11 +28,10 @@ with a bounded Brent search, and keeps the gamma = 0 edge on a tie.
 Every other fit is maximized by derivative-free Nelder-Mead on
 (log sigma2, softplus^-1 tau2), with an explicit scan of the tau2 = 0
 edge: noisy summaries whose profile is not well posed, an optimum at the
-top of the grid or outside the search box, a point the refinement finds
-ill posed, and a caller-fixed tau2.
+top of the grid or outside the search box, and a point the refinement
+finds ill posed.
 
-The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout,
-matching :mod:`fedlmm.ipd`.
+The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout.
 """
 
 from __future__ import annotations
@@ -73,16 +72,10 @@ _TAU2_MAX_FACTOR = 1e8
 # Nelder-Mead stopping rules; _PARAM_TOL is also the Brent tolerance in log(tau2/sigma2).
 _OBJECTIVE_TOL = 1e-10
 _PARAM_TOL = 1e-8
+# Evaluation budget of each search; a fit that exhausts it is not converged.
+_MAX_EVALS = 2000
 # Largest cond(sum_k W_k) at which beta is still solved for.
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Evaluation budget of the search, and an optional caller-fixed tau2."""
-
-    max_evals: int = 2000
-    fix_tau2: float | None = None
 
 
 @dataclass
@@ -172,24 +165,25 @@ class _Kernel:
         beta = np.linalg.solve(W_sum, Q_sum)
         return beta, W_sum, Q_sum
 
-    def profile_value(self, sigma2: float, tau2: float) -> tuple[float, np.ndarray]:
-        """Profile objective g(sigma2, tau2) = loglik at the profiled beta."""
+    def profile_value(
+        self, sigma2: float, tau2: float, reml: bool = False
+    ) -> tuple[float, np.ndarray]:
+        """Profile objective g(sigma2, tau2) = loglik at the profiled beta.
+
+        With ``reml``, less half the log determinant of sum_k W_k.
+        """
         beta, W_sum, Q_sum = self.profile_beta(sigma2, tau2)
         c = self._shrink(sigma2, tau2)
         syy_c = (self.syy_sum - float(c @ self.tyy)) / sigma2
         # quadratic form at the profile solution: v'Mv/s2 = syy_c - beta'Q_sum
         quad = syy_c - float(beta @ Q_sum)
         g = -0.5 * (self.logdet_term(sigma2, tau2) + quad)
+        if reml:
+            sign, logdet = np.linalg.slogdet(W_sum)
+            if sign <= 0:
+                raise SingularDesignError("REML determinant argument is not positive definite")
+            g = g - 0.5 * logdet
         return g, beta
-
-    def reml_value(self, sigma2: float, tau2: float) -> tuple[float, np.ndarray]:
-        """Profile ML value minus half the log determinant of sum_k W_k."""
-        g, beta = self.profile_value(sigma2, tau2)
-        W_sum, _ = self.weight_sums(sigma2, tau2)
-        sign, logdet = np.linalg.slogdet(W_sum)
-        if sign <= 0:
-            raise SingularDesignError("REML determinant argument is not positive definite")
-        return g - 0.5 * logdet, beta
 
     def _ratio_matrix(self, gamma) -> np.ndarray:
         """sigma2 * (S_sum - sum_k c_k T_k) at gamma = tau2/sigma2; gamma may be a vector."""
@@ -234,7 +228,6 @@ def _check_theta_domain(sigma2: float, tau2: float) -> None:
 
 def loglik_ml(theta: Theta, summaries: FederatedSummarySet) -> float:
     """Pooled ML log-likelihood reconstructed from summaries."""
-    _check_theta_domain(theta.sigma2, theta.tau2)
     if theta.beta.shape[0] != summaries.p:
         raise ValidationError(
             f"beta has length {theta.beta.shape[0]} but summaries have p={summaries.p}"
@@ -245,7 +238,7 @@ def loglik_ml(theta: Theta, summaries: FederatedSummarySet) -> float:
 def loglik_reml(sigma2: float, tau2: float, summaries: FederatedSummarySet) -> float:
     """REML objective from summaries at the profiled beta."""
     _check_theta_domain(sigma2, tau2)
-    value, _ = _Kernel(summaries).reml_value(sigma2, tau2)
+    value, _ = _Kernel(summaries).profile_value(sigma2, tau2, reml=True)
     return value
 
 
@@ -291,7 +284,7 @@ class _SearchSpace:
         return sigma2, tau2
 
 
-def _minimize_nm(fun, x0: np.ndarray, config: OptimizerConfig):
+def _minimize_nm(fun, x0: np.ndarray):
     return optimize.minimize(
         fun,
         x0,
@@ -299,7 +292,7 @@ def _minimize_nm(fun, x0: np.ndarray, config: OptimizerConfig):
         options={
             "xatol": _PARAM_TOL,
             "fatol": _OBJECTIVE_TOL,
-            "maxfev": config.max_evals,
+            "maxfev": _MAX_EVALS,
             "disp": False,
         },
     )
@@ -321,11 +314,11 @@ _START_RATIOS = (1.0, 1.0 / 9.0, 10.0 / 3.0)
 
 
 def _profiled_search(
-    kernel: _Kernel, config: OptimizerConfig, reml: bool
+    kernel: _Kernel, reml: bool
 ) -> tuple[float, float, float, bool, int, bool] | None:
     """Minimize the profiled deviance in gamma; None when it is not well posed.
 
-    The grid is always evaluated; ``max_evals`` bounds the grid plus the
+    The grid is always evaluated; ``_MAX_EVALS`` bounds the grid plus the
     Brent refinements, and a fit whose budget runs out is not converged.
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
@@ -335,7 +328,7 @@ def _profiled_search(
     except _IllPosed:
         return None
     n_evals = len(gammas)
-    budget = config.max_evals - n_evals
+    budget = _MAX_EVALS - n_evals
     converged = budget > 0
     dev = grid[1:]
     best = None  # (deviance, log gamma)
@@ -391,27 +384,24 @@ def _profiled_search(
     return sigma2, tau2, float(value), converged, n_evals, boundary
 
 
-def _run_profile_search(
-    kernel: _Kernel, config: OptimizerConfig, objective: str
+def _nelder_mead_search(
+    kernel: _Kernel, reml: bool
 ) -> tuple[float, float, float, bool, int, bool]:
     """Maximize the profile objective over the (sigma2, tau2) box.
 
+    Nelder-Mead runs from three starting points in (log sigma2, softplus^-1
+    tau2), then in log sigma2 alone on the tau2 = 0 edge, which wins ties.
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
     scale = kernel.scale()
     space = _search_space(kernel)
 
-    value_of = kernel.profile_value if objective == "ml" else kernel.reml_value
-
-    def neg(u: np.ndarray, tau2_fixed: float | None = None) -> float:
-        decoded = space.decode(u if tau2_fixed is None else u[:1])
+    def neg(u: np.ndarray) -> float:
+        decoded = space.decode(u)  # a one-element u is a point on the tau2 = 0 edge
         if decoded is None:
             return _PENALTY
-        sigma2, tau2 = decoded
-        if tau2_fixed is not None:
-            tau2 = tau2_fixed
         try:
-            g, _ = value_of(sigma2, tau2)
+            g, _ = kernel.profile_value(*decoded, reml=reml)
         except (SingularDesignError, np.linalg.LinAlgError):
             return _PENALTY
         return -g if np.isfinite(g) else _PENALTY
@@ -433,34 +423,26 @@ def _run_profile_search(
     n_evals = 0
     best = None  # (value, sigma2, tau2, success)
 
-    if config.fix_tau2 is None:
-        for s2, t2 in starts:
-            t2 = max(t2, 1e-8 * scale)
-            u0 = np.array([np.log(s2), _softplus_inv(t2)])
-            res = _minimize_nm(neg, u0, config)
-            n_evals += res.nfev
-            decoded = space.decode(res.x)
-            if decoded is None or res.fun >= _PENALTY:
-                continue
-            sigma2, tau2 = decoded
-            if best is None or -res.fun > best[0]:
-                best = (-res.fun, sigma2, tau2, bool(res.success))
+    for s2, t2 in starts:
+        t2 = max(t2, 1e-8 * scale)
+        u0 = np.array([np.log(s2), _softplus_inv(t2)])
+        res = _minimize_nm(neg, u0)
+        n_evals += res.nfev
+        decoded = space.decode(res.x)
+        if decoded is None or res.fun >= _PENALTY:
+            continue
+        sigma2, tau2 = decoded
+        if best is None or -res.fun > best[0]:
+            best = (-res.fun, sigma2, tau2, bool(res.success))
 
-    # Explicit tau2 edge (or a caller-fixed tau2): 1-D search in log sigma2.
-    tau2_fixed = 0.0 if config.fix_tau2 is None else float(config.fix_tau2)
-    res = _minimize_nm(lambda u: neg(u, tau2_fixed=tau2_fixed), np.array([np.log(s2_start)]), config)
+    # The tau2 = 0 edge: 1-D search in log sigma2.
+    res = _minimize_nm(neg, np.array([np.log(s2_start)]))
     n_evals += res.nfev
     edge = None
     if res.fun < _PENALTY:
-        decoded = space.decode(res.x[:1])
+        decoded = space.decode(res.x)
         if decoded is not None:
-            edge = (-res.fun, decoded[0], tau2_fixed, bool(res.success))
-
-    if config.fix_tau2 is not None:
-        if edge is None:
-            raise SingularDesignError("profile objective unusable over the whole search box")
-        value, sigma2, tau2, success = edge
-        return sigma2, tau2, value, success, n_evals, tau2 == 0.0
+            edge = (-res.fun, *decoded, bool(res.success))
 
     boundary = False
     if best is None and edge is None:
@@ -520,26 +502,27 @@ def evaluate_fit(summaries: FederatedSummarySet, theta: Theta) -> FitResult:
     )
 
 
-def fit_ml(
-    summaries: FederatedSummarySet, config: OptimizerConfig = OptimizerConfig()
-) -> FitResult:
+def _fit(summaries: FederatedSummarySet, reml: bool) -> FitResult:
+    method = "REML" if reml else "ML"
+    if summaries.K < 2:
+        raise ValidationError(f"{method} fit needs at least 2 sites")
+    kernel = _Kernel(summaries)
+    found = _profiled_search(kernel, reml)
+    if found is not None:
+        return _finalize(kernel, method, "profile", *found)
+    return _finalize(kernel, method, "nelder-mead", *_nelder_mead_search(kernel, reml))
+
+
+def fit_ml(summaries: FederatedSummarySet) -> FitResult:
     """Maximize the summary-based ML objective over (beta, sigma2, tau2).
 
-    Uses the profiled search in gamma when its deviance is well posed and
-    tau2 is not fixed, and the 2-D Nelder-Mead search otherwise.
+    Uses the profiled search in gamma when its deviance is well posed, and
+    the 2-D Nelder-Mead search otherwise.
     """
-    if summaries.K < 2 and config.fix_tau2 is None:
-        raise ValidationError("ML fit needs at least 2 sites unless tau2 is fixed")
-    kernel = _Kernel(summaries)
-    found = None if config.fix_tau2 is not None else _profiled_search(kernel, config, reml=False)
-    if found is not None:
-        return _finalize(kernel, "ML", "profile", *found)
-    return _finalize(kernel, "ML", "nelder-mead", *_run_profile_search(kernel, config, "ml"))
+    return _fit(summaries, reml=False)
 
 
-def fit_reml(
-    summaries: FederatedSummarySet, config: OptimizerConfig = OptimizerConfig()
-) -> FitResult:
+def fit_reml(summaries: FederatedSummarySet) -> FitResult:
     """Maximize the summary-based REML objective.
 
     Refuses privatized inputs: the extra determinant term aggregates
@@ -551,10 +534,4 @@ def fit_reml(
             "REML is not supported on privatized summaries: the log-determinant "
             "term suffers determinant amplification under additive noise; use ML"
         )
-    if summaries.K < 2 and config.fix_tau2 is None:
-        raise ValidationError("REML fit needs at least 2 sites unless tau2 is fixed")
-    kernel = _Kernel(summaries)
-    found = None if config.fix_tau2 is not None else _profiled_search(kernel, config, reml=True)
-    if found is not None:
-        return _finalize(kernel, "REML", "profile", *found)
-    return _finalize(kernel, "REML", "nelder-mead", *_run_profile_search(kernel, config, "reml"))
+    return _fit(summaries, reml=True)

@@ -146,31 +146,6 @@ class SiteSummary:
     def p(self) -> int:
         return self.S.shape[0] - 1
 
-    # Block accessors for the y-first layout.
-    @property
-    def s_yy(self) -> float:
-        return float(self.S[0, 0])
-
-    @property
-    def s_xy(self) -> np.ndarray:
-        return self.S[1:, 0]
-
-    @property
-    def s_xx(self) -> np.ndarray:
-        return self.S[1:, 1:]
-
-    @property
-    def t_yy(self) -> float:
-        return float(self.T[0, 0])
-
-    @property
-    def t_xy(self) -> np.ndarray:
-        return self.T[1:, 0]
-
-    @property
-    def t_xx(self) -> np.ndarray:
-        return self.T[1:, 1:]
-
     def validate_unprivatized_structure(self, rtol: float = 1e-8) -> None:
         """Check the structural invariants that exact summaries must satisfy.
 
@@ -324,19 +299,6 @@ class StandardizationRecord:
         A, _ = self._affine()
         return A @ np.asarray(v_std, dtype=float) @ A.T
 
-    def variance_components_to_original(self, sigma2: float, tau2: float) -> tuple[float, float]:
-        f = self.y_scale**2
-        return sigma2 * f, tau2 * f
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.y_mean == 0.0
-            and self.y_scale == 1.0
-            and bool(np.all(self.x_mean == 0.0))
-            and bool(np.all(self.x_scale == 1.0))
-        )
-
 
 def standardize(
     sites: Sequence[SiteData],
@@ -416,6 +378,14 @@ def summary_to_dict(summary: SiteSummary) -> dict:
     }
 
 
+def _field(obj: dict, key: str, kind: type):
+    """obj[key], which must be a JSON value of Python type ``kind`` (bool is not an int)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def summary_from_dict(obj: dict) -> SiteSummary:
     from .privacy import PrivacyBudget  # deferred: privacy depends on this module
 
@@ -423,15 +393,15 @@ def summary_from_dict(obj: dict) -> SiteSummary:
         version = obj["schema_version"]
         if version != SCHEMA_VERSION:
             raise ValidationError(f"unsupported schema_version {version}")
-        site_id = obj["site_id"]
-        n = int(obj["n"])
-        p = int(obj["p"])
+        site_id = _field(obj, "site_id", str)
+        n = _field(obj, "n", int)
+        p = _field(obj, "p", int)
         if obj.get("layout", "y-first") != "y-first":
             raise ValidationError(f"unsupported layout {obj.get('layout')!r}")
         d = p + 1
         S = np.array(obj["S"], dtype=float).reshape(d, d)
         T = np.array(obj["T"], dtype=float).reshape(d, d)
-        privatized = bool(obj["privatized"])
+        privatized = _field(obj, "privatized", bool)
         budget = None
         if obj.get("budget") is not None:
             b = obj["budget"]

@@ -2,14 +2,18 @@
 
 Nothing here may call into the code paths it checks: summaries are
 accumulated entry by entry in Python loops, Gram fibers come from full
-enumeration of binary matrices, and quantiles are frozen constants.
+enumeration of binary matrices, likelihoods and GLS quantities come from
+dense per-site covariance blocks, and quantiles are frozen constants.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
+
+from fedlmm import SingularDesignError, SiteData, ValidationError
 
 # Standard normal quantile at 0.975, frozen from the inverse error function.
 Z_975 = 1.9599639845400545
@@ -58,8 +62,6 @@ def gram_fibers(n: int, p: int) -> dict[tuple, set[tuple]]:
 def random_sites(rng, K=None, n_range=(1, 8), p=None, beta=None, sigma2=1.0, tau2=0.5,
                  heteroskedastic=False):
     """Random multi-site datasets for oracle-equality checks."""
-    from fedlmm import SiteData
-
     K = int(rng.integers(2, 11)) if K is None else K
     p = int(rng.integers(1, 5)) if p is None else p
     beta = rng.normal(size=p) if beta is None else np.asarray(beta)
@@ -84,3 +86,91 @@ def sherman_morrison_gls(y, X, sigma2, tau2):
     sig_inv = (np.eye(n) - shrink * ones) / sigma2
     info = X.T @ sig_inv @ X
     return np.linalg.solve(info, X.T @ sig_inv @ y)
+
+
+# Dense-covariance references on raw pooled data.  Each site's n x n block
+# Sigma_k = sigma2*I + tau2*11' is materialized and handled with plain dense
+# linear algebra.  Log-likelihoods omit the additive constant -(N/2) log(2 pi),
+# as the summary route does.
+
+
+def _sigma_block(n: int, sigma2: float, tau2: float) -> np.ndarray:
+    return sigma2 * np.eye(n) + tau2 * np.ones((n, n))
+
+
+def dense_loglik_ml(
+    beta: np.ndarray, sigma2: float, tau2: float, sites: Sequence[SiteData]
+) -> float:
+    """Pooled ML log-likelihood via dense per-site covariance blocks."""
+    if sigma2 <= 0:
+        raise ValidationError("sigma2 must be positive")
+    if tau2 < 0:
+        raise ValidationError("tau2 must be nonnegative")
+    beta = np.asarray(beta, dtype=float)
+    total = 0.0
+    for s in sites:
+        sig = _sigma_block(s.n, sigma2, tau2)
+        sign, logdet = np.linalg.slogdet(sig)
+        resid = s.y - s.X @ beta
+        quad = resid @ np.linalg.solve(sig, resid)
+        total += -0.5 * (logdet + quad)
+    return float(total)
+
+
+def _gls_information(
+    sigma2: float, tau2: float, sites: Sequence[SiteData]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (X' Sigma^-1 X, X' Sigma^-1 y) accumulated over sites."""
+    p = sites[0].p
+    info = np.zeros((p, p))
+    score = np.zeros(p)
+    for s in sites:
+        sig = _sigma_block(s.n, sigma2, tau2)
+        six = np.linalg.solve(sig, s.X)
+        info += s.X.T @ six
+        score += six.T @ s.y
+    return info, score
+
+
+def dense_gls_beta(sigma2: float, tau2: float, sites: Sequence[SiteData]) -> np.ndarray:
+    """Generalized least squares coefficients at fixed variance components."""
+    info, score = _gls_information(sigma2, tau2, sites)
+    cond = np.linalg.cond(info)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularDesignError(
+            f"X' Sigma^-1 X is numerically singular (cond ~ {cond:.3e})", cond
+        )
+    return np.linalg.solve(info, score)
+
+
+def dense_loglik_reml(sigma2: float, tau2: float, sites: Sequence[SiteData]) -> float:
+    """REML log-likelihood: profile ML minus half log det of the information."""
+    beta = dense_gls_beta(sigma2, tau2, sites)
+    info, _ = _gls_information(sigma2, tau2, sites)
+    sign, logdet = np.linalg.slogdet(info)
+    if sign <= 0:
+        raise SingularDesignError("X' Sigma^-1 X has nonpositive determinant")
+    return dense_loglik_ml(beta, sigma2, tau2, sites) - 0.5 * logdet
+
+
+def dense_cr0_sandwich(
+    beta: np.ndarray, sigma2: float, tau2: float, sites: Sequence[SiteData]
+) -> np.ndarray:
+    """Cluster-robust CR0 variance from raw residuals.
+
+    (X' Sigma^-1 X)^-1 (sum_k X_k' Sigma_k^-1 e_k e_k' Sigma_k^-1 X_k)
+    (X' Sigma^-1 X)^-1 with e_k the site residual vector.
+    """
+    beta = np.asarray(beta, dtype=float)
+    p = sites[0].p
+    bread_inv = np.zeros((p, p))
+    meat = np.zeros((p, p))
+    for s in sites:
+        sig = _sigma_block(s.n, sigma2, tau2)
+        six = np.linalg.solve(sig, s.X)
+        bread_inv += s.X.T @ six
+        g = six.T @ (s.y - s.X @ beta)
+        meat += np.outer(g, g)
+    bread = np.linalg.inv(bread_inv)
+    V = bread @ meat @ bread
+    return (V + V.T) / 2.0

@@ -24,7 +24,6 @@ from fedlmm import (
     enumerate_reconstructions,
     evaluate_fit,
     hamming_sorted,
-    ipd,
     loglik_ml,
     loglik_reml,
     merge_summaries,
@@ -41,7 +40,13 @@ from fedlmm.simulation import (
     se_calibration,
 )
 
-from oracles import gram_fibers, random_sites
+from oracles import (
+    dense_cr0_sandwich,
+    dense_loglik_ml,
+    dense_loglik_reml,
+    gram_fibers,
+    random_sites,
+)
 
 
 def _report(number: int, text: str) -> None:
@@ -100,12 +105,12 @@ def test_criterion_1_lossless_likelihood(instances):
                 tau2=float(rng.uniform(0.0, 1.5)),
             )
             got = loglik_ml(theta, summ)
-            want = ipd.loglik_ml(theta.beta, theta.sigma2, theta.tau2, sites)
+            want = dense_loglik_ml(theta.beta, theta.sigma2, theta.tau2, sites)
             worst_ml = max(worst_ml, abs(got - want) / (1.0 + abs(want)))
             sigma2 = float(rng.uniform(0.3, 2.5))
             tau2 = float(rng.uniform(0.0, 1.5))
             got_r = loglik_reml(sigma2, tau2, summ)
-            want_r = ipd.loglik_reml(sigma2, tau2, sites)
+            want_r = dense_loglik_reml(sigma2, tau2, sites)
             worst_reml = max(worst_reml, abs(got_r - want_r) / (1.0 + abs(want_r)))
     elapsed = time.perf_counter() - t0
     assert worst_ml <= 1e-9
@@ -125,7 +130,7 @@ def test_criterion_2_sandwich_equivalence(instances):
         beta, _, _ = profile_beta(sigma2, tau2, summ)
         fit = evaluate_fit(summ, Theta(beta=beta, sigma2=sigma2, tau2=tau2))
         got = cr0(summ, fit).V
-        want = ipd.cr0_sandwich(beta, sigma2, tau2, sites)
+        want = dense_cr0_sandwich(beta, sigma2, tau2, sites)
         scale = 1.0 + np.abs(want).max()
         worst = max(worst, float(np.abs(got - want).max() / scale))
     assert worst <= 1e-9

@@ -6,9 +6,11 @@ import threading
 import numpy as np
 import pytest
 
-from fedlmm import ipd, load_summary
+from fedlmm import load_summary
 from fedlmm.cli import _read_csv_columns, end_to_end, main, write_bundle_csv
 from fedlmm.summaries import SiteData, compute_summary
+
+from oracles import dense_gls_beta
 
 
 def run(args):
@@ -36,7 +38,7 @@ class TestSummarize:
         ])
         assert rc == 0
         summary = load_summary(out / "site.json")
-        np.testing.assert_array_equal(summary.s_xx, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(summary.S[1:, 1:], [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert summary.n == 3
 
     def test_empty_csv(self, tmp_path, capsys):
@@ -202,7 +204,7 @@ class TestFit:
             arr = np.array(vals)
             X = np.column_stack([np.ones(len(arr)), arr[:, 1:]])
             site_data.append(SiteData(site_id=sid, y=arr[:, 0], X=X))
-        beta_ref = ipd.gls_beta(report["fit"]["sigma2"], report["fit"]["tau2"], site_data)
+        beta_ref = dense_gls_beta(report["fit"]["sigma2"], report["fit"]["tau2"], site_data)
         np.testing.assert_allclose(report["fit"]["beta"], beta_ref, atol=1e-8)
 
     def test_reml_refuses_privatized(self, tmp_path, summary_files, capsys):
@@ -271,6 +273,23 @@ class TestPrivatizeCommand:
         loaded = load_summary(target)
         assert loaded.privatized
         assert loaded.budget_used.epsilon == 2 * 4 * 4.0  # 2 p eps0 with p=4
+
+    @pytest.mark.parametrize("field, value", [
+        ("site_id", 5), ("n", 5.7), ("n", True), ("privatized", "false"),
+    ])
+    def test_mistyped_field_rejected(self, tmp_path, summary_files, capsys, field, value):
+        obj = json.loads(summary_files[0].read_text())
+        obj[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        target = tmp_path / "dp.json"
+        rc = run(["privatize", "--in", str(bad), "--out", str(target),
+                  "--epsilon0", "4", "--delta", "0.01", "--seed", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed summary object:") and field in err
+        assert "Traceback" not in err
+        assert not target.exists()
 
 
 class TestAttackCommand:

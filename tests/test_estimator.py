@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedlmm import (
-    OptimizerConfig,
     SingularDesignError,
     SiteData,
     Theta,
@@ -17,11 +16,16 @@ from fedlmm import (
     profile_beta,
     standardize,
 )
-from fedlmm import ipd
 from fedlmm.privacy import CalibrationRule, calibrate
 from fedlmm import simulation
 
-from oracles import random_sites, sherman_morrison_gls
+from oracles import (
+    dense_gls_beta,
+    dense_loglik_ml,
+    dense_loglik_reml,
+    random_sites,
+    sherman_morrison_gls,
+)
 
 
 def _summaries(sites):
@@ -30,6 +34,16 @@ def _summaries(sites):
 
 def _rel_close(a, b, tol):
     return abs(a - b) <= tol * (1.0 + abs(b))
+
+
+def _eps2_private_summaries():
+    """K=20 sites released at eps0=2, whose profiled deviance is not well posed."""
+    rng = np.random.default_rng(3)
+    summ = _summaries(random_sites(rng, K=20, n_range=(3, 8), p=3, tau2=0.8))
+    budget = calibrate(
+        CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), delta=0.01, p=summ.p
+    )
+    return merge_summaries([privatize(s, budget, rng_seed=5) for s in summ])
 
 
 class TestLoglikML:
@@ -45,7 +59,7 @@ class TestLoglikML:
                     tau2=float(rng.uniform(0.0, 2.0)),
                 )
                 got = loglik_ml(theta, summ)
-                want = ipd.loglik_ml(theta.beta, theta.sigma2, theta.tau2, sites)
+                want = dense_loglik_ml(theta.beta, theta.sigma2, theta.tau2, sites)
                 assert _rel_close(got, want, 1e-9)
 
     def test_tau_zero_reduces_to_ols_loglik(self, rng):
@@ -95,7 +109,7 @@ class TestProfileBeta:
             sigma2 = float(rng.uniform(0.3, 2.5))
             tau2 = float(rng.uniform(0.0, 1.5))
             beta, W_sum, Q_sum = profile_beta(sigma2, tau2, summ)
-            np.testing.assert_allclose(beta, ipd.gls_beta(sigma2, tau2, sites), rtol=1e-9)
+            np.testing.assert_allclose(beta, dense_gls_beta(sigma2, tau2, sites), rtol=1e-9)
             np.testing.assert_allclose(W_sum @ beta, Q_sum, rtol=1e-9)
 
     def test_single_site_orthonormal_columns(self):
@@ -158,19 +172,19 @@ class TestFitML:
         summ = _summaries(random_sites(rng, K=2)[:1])
         with pytest.raises(ValidationError, match="2 sites"):
             fit_ml(summ)
-        fit = fit_ml(summ, OptimizerConfig(fix_tau2=0.0))
-        assert fit.boundary_tau and fit.theta_hat.tau2 == 0.0
+        with pytest.raises(ValidationError, match="2 sites"):
+            fit_reml(summ)
 
-    def test_fixed_tau(self, rng):
-        summ = _summaries(random_sites(rng, K=5))
-        fit = fit_ml(summ, OptimizerConfig(fix_tau2=0.5))
-        assert fit.theta_hat.tau2 == 0.5
-        assert not fit.boundary_tau
+    def test_nonconvergence_is_flagged(self, rng, monkeypatch):
+        from fedlmm import estimator
 
-    def test_nonconvergence_is_flagged(self, rng):
+        monkeypatch.setattr(estimator, "_MAX_EVALS", 3)
         summ = _summaries(random_sites(rng, K=5))
-        fit = fit_ml(summ, OptimizerConfig(max_evals=3))
+        fit = fit_ml(summ)
         assert not fit.converged
+        # the 2-D search runs out of the same budget
+        fit = fit_ml(_eps2_private_summaries())
+        assert fit.search == "nelder-mead" and not fit.converged
 
     def test_profile_optimality(self, rng):
         sites = random_sites(rng, K=12, n_range=(2, 6), p=3)
@@ -211,15 +225,13 @@ class TestFitML:
         # ratio down to about sqrt(machine eps); within that beta still moves
         # by up to ~2e-8 on these small instances, so the maxima are compared
         # at 1e-12 and beta at 1e-7.
-        from fedlmm.estimator import _Kernel, _run_profile_search
+        from fedlmm.estimator import _Kernel, _nelder_mead_search
 
         for _ in range(30):
             summ = _summaries(random_sites(rng))
             fit = fit_ml(summ)
             assert fit.search == "profile" and fit.converged
-            sigma2, tau2, value, _, _, boundary = _run_profile_search(
-                _Kernel(summ), OptimizerConfig(), "ml"
-            )
+            sigma2, tau2, value, _, _, boundary = _nelder_mead_search(_Kernel(summ), reml=False)
             assert fit.boundary_tau == boundary
             assert _rel_close(fit.objective, value, 1e-12)
             beta_nm, _, _ = profile_beta(sigma2, tau2, summ)
@@ -232,20 +244,13 @@ class TestFitML:
         # 7's SE blow-up.  The digits on that ridge depend on the BLAS build,
         # so the recorded values are checked loosely and the unchanged path
         # bit for bit against a direct call on this machine.
-        from fedlmm.estimator import _finalize, _Kernel, _run_profile_search
+        from fedlmm.estimator import _finalize, _Kernel, _nelder_mead_search
 
-        rng = np.random.default_rng(3)
-        summ = _summaries(random_sites(rng, K=20, n_range=(3, 8), p=3, tau2=0.8))
-        budget = calibrate(
-            CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), delta=0.01, p=summ.p
-        )
-        noisy = merge_summaries([privatize(s, budget, rng_seed=5) for s in summ])
+        noisy = _eps2_private_summaries()
         fit = fit_ml(noisy)
         assert fit.search == "nelder-mead" and fit.converged
         kernel = _Kernel(noisy)
-        direct = _finalize(
-            kernel, "ML", "nelder-mead", *_run_profile_search(kernel, OptimizerConfig(), "ml")
-        )
+        direct = _finalize(kernel, "ML", "nelder-mead", *_nelder_mead_search(kernel, reml=False))
         assert fit.to_dict() == direct.to_dict()
         np.testing.assert_allclose(
             fit.theta_hat.beta, [148194424727.00513, -7405299450.560916, 3650260829.2302136], rtol=1e-2
@@ -302,7 +307,7 @@ class TestFitREML:
             sigma2 = float(rng.uniform(0.4, 2.0))
             tau2 = float(rng.uniform(0.0, 1.0))
             got = loglik_reml(sigma2, tau2, summ)
-            want = ipd.loglik_reml(sigma2, tau2, sites)
+            want = dense_loglik_reml(sigma2, tau2, sites)
             assert _rel_close(got, want, 1e-9)
 
     def test_reaches_local_maximum_of_reml_objective(self, rng):
@@ -317,18 +322,6 @@ class TestFitREML:
                 t2_near = t2 + d_t2 * (1.0 + t2)
                 if t2_near >= 0.0:
                     assert loglik_reml(s2 * f_s2, t2_near, summ) <= value + 1e-12 * (1.0 + abs(value))
-
-    def test_fixed_tau_keeps_nelder_mead(self, rng):
-        from fedlmm.estimator import _finalize, _Kernel, _run_profile_search
-
-        for K in (1, 4):
-            summ = _summaries(random_sites(rng, K=K))
-            config = OptimizerConfig(fix_tau2=0.5)
-            fit = fit_reml(summ, config)
-            assert fit.search == "nelder-mead" and fit.theta_hat.tau2 == 0.5
-            kernel = _Kernel(summ)
-            want = _finalize(kernel, "REML", "nelder-mead", *_run_profile_search(kernel, config, "reml"))
-            assert fit.to_dict() == want.to_dict()
 
     def test_singular_design_error(self, rng):
         sites = []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedlmm import (
-    OptimizerConfig,
     SingularDesignError,
     SiteData,
     Theta,
@@ -13,12 +12,12 @@ from fedlmm import (
     evaluate_fit,
     fit_ml,
     merge_summaries,
+    profile_beta,
     wald_ci,
 )
-from fedlmm import ipd
 from fedlmm.variance import correction_factor
 
-from oracles import Z_975, random_sites
+from oracles import Z_975, dense_cr0_sandwich, dense_gls_beta, random_sites
 
 
 def _summaries(sites):
@@ -33,16 +32,17 @@ class TestCR0:
                 summ = _summaries(sites)
                 sigma2 = float(rng.uniform(0.4, 2.0))
                 tau2 = float(rng.uniform(0.0, 1.2))
-                beta = ipd.gls_beta(sigma2, tau2, sites)
+                beta = dense_gls_beta(sigma2, tau2, sites)
                 fit = evaluate_fit(summ, Theta(beta=beta, sigma2=sigma2, tau2=tau2))
                 got = cr0(summ, fit).V
-                want = ipd.cr0_sandwich(beta, sigma2, tau2, sites)
+                want = dense_cr0_sandwich(beta, sigma2, tau2, sites)
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-14)
 
     def test_single_cluster_vanishes_at_optimum(self, rng):
         sites = random_sites(rng, K=1, n_range=(6, 6), p=2)
         summ = _summaries(sites)
-        fit = fit_ml(summ, OptimizerConfig(fix_tau2=0.3))
+        beta, _, _ = profile_beta(1.0, 0.3, summ)
+        fit = evaluate_fit(summ, Theta(beta=beta, sigma2=1.0, tau2=0.3))
         v = cr0(summ, fit)
         assert np.abs(v.V).max() < 1e-12
 
