@@ -18,7 +18,6 @@ from .errors import (
 )
 from .summaries import (
     FederatedSummarySet,
-    ModelSpec,
     SiteData,
     SiteSummary,
     StandardizationRecord,
@@ -39,16 +38,8 @@ from .estimator import (
     profile_beta,
 )
 from .variance import RobustVariance, apply_correction, cr0, wald_ci
-from .privacy import (
-    CalibrationRule,
-    PrivacyBudget,
-    calibrate,
-    privatize,
-    sensitivity_binary_gram,
-    sensitivity_bounded,
-)
+from .privacy import PrivacyBudget, calibrate, privatize, sensitivity_binary_gram
 from .attack import (
-    AttackConfig,
     AttackResult,
     FeasibilityInstance,
     attack_pipeline,

@@ -26,6 +26,7 @@ pattern, so recursion depth caps p at 9.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -38,11 +39,6 @@ from .privacy import PrivacyBudget, gaussian_mechanism
 # Largest p the solver accepts.  The exact and repair searches recurse
 # 2^p - 1 frames deep; Python's default recursion limit (1000) allows p = 9.
 _P_MAX = 9
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    timeout_s: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -243,40 +239,40 @@ def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int) -> np.nd
     return np.concatenate(rows, axis=0)
 
 
-def _start_search(instance: FeasibilityInstance, config: AttackConfig) -> _Search:
+def _start_search(instance: FeasibilityInstance, timeout_s: float) -> _Search:
     """Search state for the instance, its deadline starting now."""
+    if not (timeout_s > 0 and math.isfinite(timeout_s)):
+        raise ValidationError(f"timeout must be a positive number of seconds, got {timeout_s!r}")
     if instance.p > _P_MAX:
         raise CapacityError(f"p={instance.p} exceeds the solver's capacity p <= {_P_MAX}")
-    return _Search(instance.gram, instance.n, time.monotonic() + config.timeout_s)
+    return _Search(instance.gram, instance.n, time.monotonic() + timeout_s)
 
 
 def enumerate_reconstructions(
-    instance: FeasibilityInstance, limit: int | None = None, config: AttackConfig = AttackConfig()
+    instance: FeasibilityInstance, timeout_s: float = 10.0
 ) -> list[np.ndarray]:
     """All binary matrices (up to row order) whose Gram equals the instance's.
 
     Intended for small instances; raises CapacityError past p = 9 and
-    SolverTimeoutError once the search runs past ``config.timeout_s``.
+    SolverTimeoutError once the search runs past ``timeout_s`` seconds.
     """
-    search = _start_search(instance, config)
-    sols = search.enumerate_exact(limit)
+    search = _start_search(instance, timeout_s)
+    sols = search.enumerate_exact(limit=None)
     return [_counts_to_matrix(c, search.patterns, instance.n) for c in sols]
 
 
-def reconstruct(
-    instance: FeasibilityInstance, config: AttackConfig = AttackConfig()
-) -> AttackResult:
+def reconstruct(instance: FeasibilityInstance, timeout_s: float = 10.0) -> AttackResult:
     """Solve the 0-1 feasibility problem for one instance (no metrics).
 
     Exact enumeration stops at two solutions: one gives ``unique``, two
     ``feasible-multiple``.  Otherwise the minimum-violation repair runs on
     ``clamp_gram(instance.gram, instance.n)`` under the same deadline, and
     ``violation`` is the upper-triangle L1 distance from the repaired
-    design's Gram to ``instance.gram`` itself.  A timeout gives ``failed``;
-    p > 9 raises CapacityError.
+    design's Gram to ``instance.gram`` itself.  Running past ``timeout_s``
+    seconds gives ``failed``; p > 9 raises CapacityError.
     """
     n = instance.n
-    search = _start_search(instance, config)
+    search = _start_search(instance, timeout_s)
     try:
         sols = search.enumerate_exact(limit=2)
         if sols:
@@ -316,7 +312,7 @@ def released_rounded_gram(
     X = np.asarray(X)
     gram = (X.astype(np.int64).T @ X.astype(np.int64)).astype(float)
     if budget is not None:
-        gram = gaussian_mechanism(gram, budget, rng_seed, label="attack-target")
+        gram = gaussian_mechanism(gram, budget, rng_seed)
     rounded = np.rint(np.triu(gram))
     rounded = rounded + np.triu(rounded, 1).T
     return rounded.astype(np.int64)
@@ -340,7 +336,7 @@ def attack_pipeline(
     true_X: np.ndarray,
     budget: PrivacyBudget | None = None,
     rng_seed: int = 0,
-    config: AttackConfig = AttackConfig(),
+    timeout_s: float = 10.0,
 ) -> AttackResult:
     """Release -> round -> reconstruct -> score one attack replicate.
 
@@ -354,7 +350,7 @@ def attack_pipeline(
         raise ValidationError(f"true_X must be a binary matrix with n, p >= 1; got shape {X.shape}")
     n, p = X.shape
     rounded = released_rounded_gram(X, budget, rng_seed)
-    result = reconstruct(FeasibilityInstance(rounded, n), config)
+    result = reconstruct(FeasibilityInstance(rounded, n), timeout_s)
     if result.status != "failed":
         result.hamming = hamming_sorted(result.X_hat, X)
         exact = result.status != "infeasible-repaired"

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackConfig
 from .errors import CapacityError, FedLMMError, SingularDesignError, ValidationError
 from .estimator import fit_ml, fit_reml
-from .privacy import CalibrationRule, calibrate, privatize
+from .privacy import calibrate, privatize
 from .simulation import (
     Scenario,
     run_estimation_study,
@@ -183,14 +182,13 @@ def cmd_summarize(args) -> int:
 
 def cmd_privatize(args) -> int:
     summary = load_summary(args.infile)
-    rule = CalibrationRule(mode="dimension-adjusted", epsilon0=args.epsilon0)
-    budget = calibrate(rule, delta=args.delta, p=summary.p)
-    sensitive = frozenset(_split_ints(args.sensitive)) if args.sensitive else frozenset()
+    budget = calibrate(args.epsilon0, delta=args.delta, p=summary.p)
+    sensitive = frozenset(_split_ints(args.sensitive))
     if args.scope == "subset" and not sensitive:
         raise ValidationError("--scope subset needs --sensitive column indices")
-    noisy = privatize(
-        summary, budget, scope=args.scope, sensitive=sensitive, rng_seed=args.seed
-    )
+    if args.scope == "full":
+        sensitive = frozenset()  # every entry is perturbed; --sensitive is ignored
+    noisy = privatize(summary, budget, sensitive=sensitive, rng_seed=args.seed)
     target = _out_path(args.out)
     save_summary(noisy, target)
     print(target)
@@ -251,39 +249,42 @@ def cmd_fit(args) -> int:
 _RATE_FIELDS = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "failed")
 
 
-def cmd_attack(args) -> int:
-    config = AttackConfig(timeout_s=args.timeout)
-    row = run_reconstruction_cell(
-        n=args.n, p=args.p, epsilon0=args.epsilon0, reps=args.reps,
-        seed=args.seed, delta=args.delta, config=config,
-    )
-    target = _out_path(args.out)
-    out_row = dict(row)
-    out_row["epsilon0"] = "ref" if row["epsilon0"] is None else row["epsilon0"]
-    write_rate_rows([out_row], target, _RATE_FIELDS)
-    print(target)
-    return 0
+def _epsilon0_level(token: str) -> float | None:
+    """One privacy level: a number, or "ref"/"none" for the no-noise reference (None)."""
+    token = token.strip()
+    if token in ("ref", "none"):
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        raise ValidationError(f'epsilon0 must be a number or "ref", got {token!r}') from None
 
 
-def cmd_simulate_reconstruction(args) -> int:
-    eps_values = []
-    for token in args.epsilon0.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        eps_values.append(None if token in ("ref", "none") else float(token))
-    config = AttackConfig(timeout_s=args.timeout)
-    rows = run_reconstruction_study(
-        n_values=_split_ints(args.n), p_values=_split_ints(args.p),
-        epsilon0_values=eps_values, reps=args.reps, seed=args.seed,
-        delta=args.delta, config=config,
-    )
+def _write_rates(rows: list[dict], out: str) -> int:
+    """Write reconstruction rate rows, the no-noise reference level as "ref"."""
     for row in rows:
         row["epsilon0"] = "ref" if row["epsilon0"] is None else row["epsilon0"]
-    target = _out_path(args.out)
+    target = _out_path(out)
     write_rate_rows(rows, target, _RATE_FIELDS)
     print(target)
     return 0
+
+
+def cmd_attack(args) -> int:
+    row = run_reconstruction_cell(
+        n=args.n, p=args.p, epsilon0=_epsilon0_level(args.epsilon0), reps=args.reps,
+        seed=args.seed, delta=args.delta, timeout_s=args.timeout,
+    )
+    return _write_rates([row], args.out)
+
+
+def cmd_simulate_reconstruction(args) -> int:
+    rows = run_reconstruction_study(
+        n_values=_split_ints(args.n), p_values=_split_ints(args.p),
+        epsilon0_values=[_epsilon0_level(t) for t in args.epsilon0.split(",") if t.strip()],
+        reps=args.reps, seed=args.seed, delta=args.delta, timeout_s=args.timeout,
+    )
+    return _write_rates(rows, args.out)
 
 
 # -- simulate-estimation ---------------------------------------------------------
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="reconstruction rates for one (n, p) cell")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--epsilon0", type=float, default=None, help="omit for the no-noise reference")
+    p.add_argument("--epsilon0", default="ref", help='privacy level; "ref" (default) = no noise')
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -7,6 +7,12 @@ entries with sigma_dp = delta_f * sqrt(2 log(1.25/delta)) / epsilon gives
 Symmetrization U <- (U + U')/2 is post-processing, so the guarantee is
 unaffected; it halves the off-diagonal noise variance, which downstream
 consumers must not rely on being exactly sigma_dp^2.
+
+There is one calibration, the dimension-adjusted budget of
+:func:`calibrate`: epsilon(p) = 2p * epsilon0 under the binary-Gram
+sensitivity delta_f = 2p, so the noise SD depends on epsilon0 and delta
+only.  :func:`privatize` perturbs every entry, or only the entries that
+touch a given set of sensitive design columns.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .summaries import ModelSpec, SiteSummary
-
-SCOPES = ("full", "subset")
+from .summaries import SiteSummary
 
 
 def gaussian_sigma(delta_f: float, epsilon: float, delta: float) -> float:
@@ -55,44 +59,6 @@ class PrivacyBudget:
                 f"(epsilon, delta, delta_f): expected {expected!r}"
             )
 
-    @classmethod
-    def from_params(cls, epsilon: float, delta: float, delta_f: float) -> "PrivacyBudget":
-        return cls(
-            epsilon=epsilon,
-            delta=delta,
-            delta_f=delta_f,
-            sigma_dp=gaussian_sigma(delta_f, epsilon, delta),
-        )
-
-
-@dataclass(frozen=True)
-class CalibrationRule:
-    """How to turn a target privacy level into a per-site budget.
-
-    ``dimension-adjusted`` scales the budget with the summary dimension,
-    epsilon(p) = 2p * epsilon0, under the binary-covariate sensitivity
-    delta_f = 2p; the resulting noise SD sqrt(2 log(1.25/delta))/epsilon0
-    is independent of p.  ``fixed`` uses a caller-supplied epsilon and
-    delta_f as-is.
-    """
-
-    mode: str
-    epsilon0: float | None = None
-    epsilon: float | None = None
-    delta_f: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("dimension-adjusted", "fixed"):
-            raise ValidationError(f"unknown calibration mode {self.mode!r}")
-        if self.mode == "dimension-adjusted":
-            if self.epsilon0 is None or not self.epsilon0 > 0:
-                raise ValidationError("dimension-adjusted mode needs epsilon0 > 0")
-        else:
-            if self.epsilon is None or not self.epsilon > 0:
-                raise ValidationError("fixed mode needs epsilon > 0")
-            if self.delta_f is None or not self.delta_f > 0:
-                raise ValidationError("fixed mode needs delta_f > 0")
-
 
 def sensitivity_binary_gram(p: int) -> float:
     """Frobenius sensitivity of a binary-covariate Gram query.
@@ -105,46 +71,19 @@ def sensitivity_binary_gram(p: int) -> float:
     return 2.0 * p
 
 
-def sensitivity_bounded(spec: ModelSpec, n_k: int, include_t: bool = True) -> float:
-    """Conservative Frobenius sensitivity of the joint (S, T) release.
+def calibrate(epsilon0: float, delta: float, p: int) -> PrivacyBudget:
+    """Dimension-adjusted budget for a summary of dimension p.
 
-    With r2 the largest squared record norm max ||(y_i, x_i)||^2 under
-    the declared bounds, replacing one record moves S by at most 2*r2
-    (triangle inequality on the two rank-one record terms) and moves the
-    rank-one T = s s' by at most 2*n_k*r2.  The joint query is the pair,
-    so the two blocks combine in quadrature:
-
-        delta_f = sqrt((2 r2)^2 + (2 n_k r2)^2)
-
-    The T-block term treats the worst case as one record's full outer
-    product against the column-sum vector; it is deliberately loose.
+    The budget scales with the dimension, epsilon(p) = 2p * epsilon0,
+    under the binary-covariate sensitivity delta_f = 2p; the noise SD
+    sqrt(2 log(1.25/delta)) / epsilon0 is independent of p.
     """
-    if spec.x_bounds is None or spec.y_bounds is None:
-        raise ValidationError("sensitivity_bounded needs finite covariate and outcome bounds")
-    if n_k < 1:
-        raise ValidationError("n_k must be >= 1")
-    r2 = max(spec.y_bounds[0] ** 2, spec.y_bounds[1] ** 2)
-    for lo, hi in spec.x_bounds:
-        r2 += max(lo**2, hi**2)
-    d_s = 2.0 * r2
-    if not include_t:
-        return d_s
-    d_t = 2.0 * n_k * r2
-    return math.hypot(d_s, d_t)
-
-
-def calibrate(rule: CalibrationRule, delta: float, p: int) -> PrivacyBudget:
-    """Build the per-site budget for a summary of dimension p."""
-    if not (0.0 < delta < 1.0):
-        raise ValidationError("delta must lie in (0, 1)")
-    if rule.mode == "dimension-adjusted":
-        delta_f = sensitivity_binary_gram(p)
-        epsilon = 2.0 * p * rule.epsilon0
-        # delta_f/epsilon cancels to 1/epsilon0: evaluate that way so the
-        # noise scale is bitwise independent of p
-        sigma = gaussian_sigma(1.0, rule.epsilon0, delta)
-        return PrivacyBudget(epsilon=epsilon, delta=delta, delta_f=delta_f, sigma_dp=sigma)
-    return PrivacyBudget.from_params(epsilon=rule.epsilon, delta=delta, delta_f=rule.delta_f)
+    # delta_f/epsilon cancels to 1/epsilon0: evaluate that way so the
+    # noise scale is bitwise independent of p
+    sigma = gaussian_sigma(1.0, epsilon0, delta)
+    return PrivacyBudget(
+        epsilon=2.0 * p * epsilon0, delta=delta, delta_f=sensitivity_binary_gram(p), sigma_dp=sigma
+    )
 
 
 def _site_stream(rng_seed: int, site_id: str) -> np.random.Generator:
@@ -154,9 +93,7 @@ def _site_stream(rng_seed: int, site_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(rng_seed), spawn_key=words))
 
 
-def gaussian_mechanism(
-    matrix: np.ndarray, budget: PrivacyBudget, rng_seed: int, label: str = "query"
-) -> np.ndarray:
+def gaussian_mechanism(matrix: np.ndarray, budget: PrivacyBudget, rng_seed: int) -> np.ndarray:
     """Plain Gaussian mechanism on one matrix-valued query.
 
     Adds i.i.d. N(0, sigma_dp^2) noise to every entry with no
@@ -165,7 +102,8 @@ def gaussian_mechanism(
     symmetrization on top of this mechanism.
     """
     matrix = np.asarray(matrix, dtype=float)
-    rng = _site_stream(rng_seed, label)
+    # the stream name is part of the released bytes of the attack experiment
+    rng = _site_stream(rng_seed, "attack-target")
     return matrix + rng.normal(0.0, budget.sigma_dp, size=matrix.shape)
 
 
@@ -180,17 +118,17 @@ def _noise_mask(d: int, sensitive: frozenset[int]) -> np.ndarray:
 def privatize(
     summary: SiteSummary,
     budget: PrivacyBudget,
-    scope: str = "full",
     sensitive: frozenset[int] = frozenset(),
     rng_seed: int = 0,
 ) -> SiteSummary:
     """Release a privatized copy of a site summary.
 
-    Draws independent symmetric Gaussian noise for S and T.  With
-    scope="subset" only entries whose row or column indexes a sensitive
-    design column (1..p; block 0 is the outcome) are perturbed; the
-    outcome-by-sensitive crossings are included, everything among
-    non-sensitive columns and the y*y cell stays untouched bitwise.
+    Draws independent symmetric Gaussian noise for S and T.  With no
+    ``sensitive`` columns every entry is perturbed.  Otherwise only
+    entries whose row or column indexes a sensitive design column (1..p;
+    block 0 is the outcome) are perturbed; the outcome-by-sensitive
+    crossings are included, everything among non-sensitive columns and
+    the y*y cell stays untouched bitwise.
 
     A summary can be privatized once; there is no composition accounting.
     """
@@ -199,8 +137,6 @@ def privatize(
             f"site {summary.site_id!r} is already privatized; "
             "repeated release would need budget composition accounting"
         )
-    if scope not in SCOPES:
-        raise ValidationError(f"unknown scope {scope!r}")
     d = summary.p + 1
     bad = [j for j in sensitive if not (1 <= j <= summary.p)]
     if bad:
@@ -211,8 +147,8 @@ def privatize(
     u2 = rng.normal(0.0, budget.sigma_dp, size=(d, d))
     u1 = (u1 + u1.T) / 2.0
     u2 = (u2 + u2.T) / 2.0
-    if scope == "subset":
-        mask = _noise_mask(d, frozenset(sensitive))
+    if sensitive:
+        mask = _noise_mask(d, sensitive)
         u1 = u1 * mask
         u2 = u2 * mask
     return SiteSummary(

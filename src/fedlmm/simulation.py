@@ -23,7 +23,7 @@ import numpy as np
 from . import attack as attack_mod
 from .errors import FedLMMError, ValidationError
 from .estimator import fit_ml
-from .privacy import CalibrationRule, calibrate, privatize
+from .privacy import calibrate, privatize
 from .summaries import SiteData, compute_summary, merge_summaries, standardize
 from .variance import apply_correction, cr0
 
@@ -203,7 +203,7 @@ def one_replicate(
     )
     try:
         sites = analysis_design(generate(scenario, data_rng), scenario)
-        sites_std, record = standardize(sites, intercept=True, names=scenario.design_columns)
+        sites_std, record = standardize(sites, names=scenario.design_columns)
         summaries = merge_summaries([compute_summary(s) for s in sites_std])
     except FedLMMError:
         return all_failed()
@@ -234,23 +234,20 @@ def one_replicate(
     for arm in ("dp", "dp2"):
         if arm not in arms:
             continue
-        scope = "full" if arm == "dp" else "subset"
         sensitive = frozenset() if arm == "dp" else scenario.sensitive_design_blocks
         for eps_idx, eps in enumerate(epsilon0_grid):
-            budget = calibrate(
-                CalibrationRule(mode="dimension-adjusted", epsilon0=float(eps)),
-                delta=delta, p=p_design,
-            )
+            budget = calibrate(float(eps), delta=delta, p=p_design)
             arm_seed = _derived_seed(
                 [seed, replicate, 1, ("dp", "dp2").index(arm), eps_idx]
             )
             try:
-                noisy = merge_summaries(
-                    [
-                        privatize(s, budget, scope=scope, sensitive=sensitive, rng_seed=arm_seed)
-                        for s in summaries
-                    ]
-                )
+                if arm == "dp2" and not sensitive:
+                    # no analysis column is sensitive: the dp2 release adds no noise
+                    noisy = summaries
+                else:
+                    noisy = merge_summaries(
+                        [privatize(s, budget, sensitive=sensitive, rng_seed=arm_seed) for s in summaries]
+                    )
                 fit, beta, v = _fit_arm(noisy, record)
             except (FedLMMError, np.linalg.LinAlgError):
                 rows.append(failed_row(arm, float(eps)))
@@ -317,20 +314,21 @@ def run_estimation_study(
 # -- aggregation -------------------------------------------------------------
 
 
-def se_calibration(
-    rows: Sequence[MetricRow],
-    keys: Sequence[str] = ("scenario", "arm", "epsilon0", "K", "correction"),
-) -> list[dict]:
+_SE_GROUP_KEYS = ("scenario", "arm", "epsilon0", "K", "correction")
+
+
+def se_calibration(rows: Sequence[MetricRow]) -> list[dict]:
     """Mean estimated SE over the empirical SD of beta-hat, per coefficient.
 
-    Failed replicates are excluded.  Groups need at least two usable
-    replicates; a zero empirical SD flags the row as degenerate.
+    Rows are grouped by (scenario, arm, epsilon0, K, correction).  Failed
+    replicates are excluded.  Groups need at least two usable replicates;
+    a zero empirical SD flags the row as degenerate.
     """
     groups: dict[tuple, list[MetricRow]] = {}
     for row in rows:
         if row.failed or row.beta_hat is None or row.se_hat is None:
             continue
-        groups.setdefault(tuple(getattr(row, k) for k in keys), []).append(row)
+        groups.setdefault(tuple(getattr(row, k) for k in _SE_GROUP_KEYS), []).append(row)
     if not groups:
         raise ValidationError("no usable rows to aggregate")
     out = []
@@ -344,7 +342,7 @@ def se_calibration(
         for j in range(betas.shape[1]):
             degenerate = sd[j] == 0.0
             out.append(
-                dict(zip(keys, key))
+                dict(zip(_SE_GROUP_KEYS, key))
                 | {
                     "coefficient": j,
                     "mean_se": float(mean_se[j]),
@@ -360,10 +358,9 @@ def se_calibration(
 def privacy_cost_slope(
     rows: Sequence[MetricRow],
     versus: str = "inv_K",
-    arm: str = "dp",
     statistic: str = "mean",
 ) -> tuple[float, float]:
-    """Log-log slope of the squared privacy cost across levels.
+    """Log-log slope of the squared privacy cost of the dp arm across levels.
 
     ``versus="inv_K"`` regresses log(statistic of cost^2) on log(1/K)
     pooling rows at a common privacy level; ``versus="epsilon0"``
@@ -379,7 +376,7 @@ def privacy_cost_slope(
         raise ValidationError(f"unknown statistic {statistic!r}")
     usable = [
         r for r in rows
-        if r.arm == arm and not r.failed and r.l2_privacy_cost is not None
+        if r.arm == "dp" and not r.failed and r.l2_privacy_cost is not None
     ]
     levels: dict[float, list[float]] = {}
     for r in usable:
@@ -416,7 +413,7 @@ def run_reconstruction_cell(
     reps: int,
     seed: int,
     delta: float = 0.01,
-    config: attack_mod.AttackConfig = attack_mod.AttackConfig(),
+    timeout_s: float = 10.0,
     level_key: int = 0,
 ) -> dict:
     """Attack replicates for one (n, p, privacy level) cell.
@@ -427,12 +424,7 @@ def run_reconstruction_cell(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    budget = None
-    if epsilon0 is not None:
-        budget = calibrate(
-            CalibrationRule(mode="dimension-adjusted", epsilon0=float(epsilon0)),
-            delta=delta, p=p,
-        )
+    budget = None if epsilon0 is None else calibrate(float(epsilon0), delta=delta, p=p)
     matrix_hits = 0
     element_rates = []
     failed = 0
@@ -441,7 +433,7 @@ def run_reconstruction_cell(
         x_state, noise_state = ss.generate_state(2, np.uint64)
         rng = np.random.default_rng(int(x_state))
         X = (rng.random((n, p)) < 0.5).astype(np.int8)
-        result = attack_mod.attack_pipeline(X, budget, rng_seed=int(noise_state), config=config)
+        result = attack_mod.attack_pipeline(X, budget, rng_seed=int(noise_state), timeout_s=timeout_s)
         if result.status == "failed":
             failed += 1
             continue
@@ -465,7 +457,7 @@ def run_reconstruction_study(
     reps: int,
     seed: int,
     delta: float = 0.01,
-    config: attack_mod.AttackConfig = attack_mod.AttackConfig(),
+    timeout_s: float = 10.0,
 ) -> list[dict]:
     rows = []
     for p in p_values:
@@ -473,7 +465,7 @@ def run_reconstruction_study(
             for idx, eps in enumerate(epsilon0_values):
                 rows.append(
                     run_reconstruction_cell(
-                        n, p, eps, reps, seed, delta=delta, config=config, level_key=idx
+                        n, p, eps, reps, seed, delta=delta, timeout_s=timeout_s, level_key=idx
                     )
                 )
     return rows

@@ -31,6 +31,9 @@ SCHEMA_VERSION = 1
 # downstream, so rounding drift must stay bounded.
 _EXACT_SUM_THRESHOLD = 10_000
 
+# Relative tolerance of the PSD and rank-one checks on unprivatized summaries.
+_STRUCTURE_RTOL = 1e-8
+
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
@@ -75,44 +78,6 @@ class SiteData:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Analysis model metadata used by the design builder and the privacy layer.
-
-    ``sensitive`` indexes design columns 1..p (1-based, matching the summary
-    block layout where block 0 is the outcome).  ``x_bounds``/``y_bounds``
-    are per-column [lo, hi] ranges required when calibrating noise for
-    bounded continuous records.
-    """
-
-    covariates: tuple[str, ...]
-    intercept: bool = True
-    sensitive: frozenset[int] = frozenset()
-    x_bounds: tuple[tuple[float, float], ...] | None = None
-    y_bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        p = len(self.covariates)
-        object.__setattr__(self, "sensitive", frozenset(self.sensitive))
-        bad = [j for j in self.sensitive if not (1 <= j <= p)]
-        if bad:
-            raise ValidationError(f"sensitive indices {bad} outside 1..{p}")
-        if self.x_bounds is not None:
-            if len(self.x_bounds) != p:
-                raise ValidationError("x_bounds must give one [lo, hi] pair per covariate")
-            for name, (lo, hi) in zip(self.covariates, self.x_bounds):
-                if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                    raise ValidationError(f"invalid bounds for column {name!r}: [{lo}, {hi}]")
-        if self.y_bounds is not None:
-            lo, hi = self.y_bounds
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValidationError(f"invalid outcome bounds [{lo}, {hi}]")
-
-    @property
-    def p(self) -> int:
-        return len(self.covariates)
-
-
-@dataclass(frozen=True)
 class SiteSummary:
     """The shareable quadratic summary (n, S, T) of one site."""
 
@@ -146,7 +111,7 @@ class SiteSummary:
     def p(self) -> int:
         return self.S.shape[0] - 1
 
-    def validate_unprivatized_structure(self, rtol: float = 1e-8) -> None:
+    def validate_unprivatized_structure(self) -> None:
         """Check the structural invariants that exact summaries must satisfy.
 
         S must be positive semidefinite and T must be positive semidefinite
@@ -156,14 +121,14 @@ class SiteSummary:
         if self.privatized:
             return
         scale = max(1.0, float(np.abs(self.S).max()))
-        if np.linalg.eigvalsh(self.S).min() < -rtol * scale:
+        if np.linalg.eigvalsh(self.S).min() < -_STRUCTURE_RTOL * scale:
             raise ValidationError(f"site {self.site_id!r}: S is not positive semidefinite")
         tscale = max(1.0, float(np.abs(self.T).max()))
         w, v = np.linalg.eigh(self.T)
-        if w.min() < -rtol * tscale:
+        if w.min() < -_STRUCTURE_RTOL * tscale:
             raise ValidationError(f"site {self.site_id!r}: T is not positive semidefinite")
         rank1 = w[-1] * np.outer(v[:, -1], v[:, -1])
-        if np.abs(self.T - rank1).max() > rtol * tscale:
+        if np.abs(self.T - rank1).max() > _STRUCTURE_RTOL * tscale:
             raise ValidationError(f"site {self.site_id!r}: T is not rank one")
 
 
@@ -266,29 +231,26 @@ def merge_summaries(summaries: Sequence[SiteSummary]) -> FederatedSummarySet:
 class StandardizationRecord:
     """Pooled centering/scaling constants and their inverse transform.
 
-    With standardized data y' = (y - my)/sy, x'_j = (x_j - mj)/sj the fitted
-    coefficients map back to the original scale via beta = A beta' + c where
-    A and c are assembled below; sigma2 and tau2 scale by sy**2.
+    With standardized data y' = (y - my)/sy, x'_j = (x_j - mj)/sj (column 0
+    is the intercept and stays as is) the fitted coefficients map back to
+    the original scale via beta = A beta' + c where A and c are assembled
+    below; sigma2 and tau2 scale by sy**2.
     """
 
     y_mean: float
     y_scale: float
     x_mean: np.ndarray
     x_scale: np.ndarray
-    intercept: bool
 
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
         p = self.x_mean.shape[0]
         A = np.zeros((p, p))
         c = np.zeros(p)
-        start = 1 if self.intercept else 0
-        if self.intercept:
-            A[0, 0] = self.y_scale
-            c[0] = self.y_mean
-        for j in range(start, p):
+        A[0, 0] = self.y_scale
+        c[0] = self.y_mean
+        for j in range(1, p):
             A[j, j] = self.y_scale / self.x_scale[j]
-            if self.intercept:
-                A[0, j] = -self.y_scale * self.x_mean[j] / self.x_scale[j]
+            A[0, j] = -self.y_scale * self.x_mean[j] / self.x_scale[j]
         return A, c
 
     def beta_to_original(self, beta_std: np.ndarray) -> np.ndarray:
@@ -302,44 +264,39 @@ class StandardizationRecord:
 
 def standardize(
     sites: Sequence[SiteData],
-    intercept: bool = True,
     names: Sequence[str] | None = None,
 ) -> tuple[list[SiteData], StandardizationRecord]:
     """Center/scale pooled data to mean 0, SD 1 per non-intercept column and for y.
 
-    Pooled moments are computed on the concatenated data, so this lives on
-    the simulation/oracle side only.  When ``intercept`` is False the data
-    are scaled but not centered (there is no intercept to absorb the means).
+    Column 0 of the design must be the intercept (constant one).  Pooled
+    moments are computed on the concatenated data, so this lives on the
+    simulation/oracle side only.
     """
     if not sites:
         raise ValidationError("standardize needs at least one site")
     X = np.concatenate([s.X for s in sites], axis=0)
     y = np.concatenate([s.y for s in sites])
     p = X.shape[1]
-    if intercept and not np.all(X[:, 0] == 1.0):
-        raise ValidationError("intercept=True but column 0 is not constant one")
+    if not np.all(X[:, 0] == 1.0):
+        raise ValidationError("column 0 is not the constant-one intercept")
 
     def colname(j: int) -> str:
         return names[j] if names is not None else f"column {j}"
 
     x_mean = np.zeros(p)
     x_scale = np.ones(p)
-    start = 1 if intercept else 0
-    for j in range(start, p):
+    for j in range(1, p):
         sd = float(X[:, j].std())
         if sd == 0.0:
             raise ValidationError(f"zero-variance covariate: {colname(j)}")
         x_scale[j] = sd
-        if intercept:
-            x_mean[j] = float(X[:, j].mean())
+        x_mean[j] = float(X[:, j].mean())
     y_sd = float(y.std())
     if y_sd == 0.0:
         raise ValidationError("zero-variance outcome")
-    y_mean = float(y.mean()) if intercept else 0.0
+    y_mean = float(y.mean())
 
-    record = StandardizationRecord(
-        y_mean=y_mean, y_scale=y_sd, x_mean=x_mean, x_scale=x_scale, intercept=intercept
-    )
+    record = StandardizationRecord(y_mean=y_mean, y_scale=y_sd, x_mean=x_mean, x_scale=x_scale)
     out = []
     for s in sites:
         Xs = (s.X - x_mean) / x_scale
@@ -427,9 +384,13 @@ def save_summary(summary: SiteSummary, path) -> None:
 
 
 def load_summary(path) -> SiteSummary:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return summary_from_dict(obj)

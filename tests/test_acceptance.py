@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from fedlmm import (
-    CalibrationRule,
     FeasibilityInstance,
     SiteData,
     Theta,
@@ -143,9 +142,7 @@ def test_criterion_3_gaussian_calibration(rng):
     X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     base = compute_summary(SiteData(site_id="cal", y=np.array([0.5, -1.0, 2.0]), X=X))
     for eps0 in (2.0, 8.0):
-        budget = calibrate(
-            CalibrationRule(mode="dimension-adjusted", epsilon0=eps0), delta=0.01, p=3
-        )
+        budget = calibrate(eps0, delta=0.01, p=3)
         d = base.p + 1
         noise_sum = np.zeros((d, d))
         diag = np.empty(draws)
@@ -294,7 +291,7 @@ def test_criterion_8_consistency_normality(study_k):
 
 
 def test_criterion_9_dp2_masking(rng):
-    budget = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), 0.01, 6)
+    budget = calibrate(2.0, 0.01, 6)
     for trial in range(25):
         p = int(rng.integers(2, 7))
         n = int(rng.integers(2, 9))
@@ -302,9 +299,7 @@ def test_criterion_9_dp2_masking(rng):
         base = compute_summary(SiteData(site_id=f"m{trial}", y=rng.normal(size=n), X=X))
         size = int(rng.integers(1, p + 1))
         sensitive = frozenset(int(j) for j in rng.choice(np.arange(1, p + 1), size, replace=False))
-        noisy = privatize(
-            base, budget, scope="subset", sensitive=sensitive, rng_seed=trial
-        )
+        noisy = privatize(base, budget, sensitive=sensitive, rng_seed=trial)
         for i, j in itertools.product(range(p + 1), repeat=2):
             touched = i in sensitive or j in sensitive
             if touched:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from fedlmm import (
-    AttackConfig,
-    CalibrationRule,
     CapacityError,
     FeasibilityInstance,
     FedLMMError,
@@ -129,7 +127,7 @@ class TestReconstruct:
         gram[0, 1] = gram[1, 0] = -1
         instance = FeasibilityInstance(gram=gram, n=40)
         assert not enumerate_reconstructions(instance)
-        result = reconstruct(instance, AttackConfig(timeout_s=0.01))
+        result = reconstruct(instance, timeout_s=0.01)
         assert result.status == "failed"
         assert result.X_hat is None
 
@@ -149,13 +147,13 @@ class TestReconstruct:
         assert result.X_hat.shape == (3, 9) and not result.X_hat.any()
 
     def test_timeout_gives_failed(self, rng):
-        result = reconstruct(_hard_instance(rng), AttackConfig(timeout_s=0.01))
+        result = reconstruct(_hard_instance(rng), timeout_s=0.01)
         assert result.status == "failed"
         assert result.X_hat is None
 
     def test_enumeration_timeout_raises_public_error(self, rng):
         with pytest.raises(SolverTimeoutError) as info:
-            enumerate_reconstructions(_hard_instance(rng), config=AttackConfig(timeout_s=0.01))
+            enumerate_reconstructions(_hard_instance(rng), timeout_s=0.01)
         assert isinstance(info.value, FedLMMError)
 
     def test_asymmetric_gram_rejected(self):
@@ -195,7 +193,7 @@ class TestPipeline:
         assert hits >= 30  # high recovery without noise
 
     def test_strong_noise_blocks_recovery(self, rng):
-        budget = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), 0.01, 3)
+        budget = calibrate(2.0, 0.01, 3)
         hits = 0
         for rep in range(40):
             X = (rng.random((3, 3)) < 0.5).astype(np.int8)
@@ -207,7 +205,7 @@ class TestPipeline:
     def test_row_permutation_invariant_metrics(self, rng):
         X = (rng.random((4, 3)) < 0.5).astype(np.int8)
         perm = rng.permutation(4)
-        budget = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=8.0), 0.01, 3)
+        budget = calibrate(8.0, 0.01, 3)
         a = attack_pipeline(X, budget=budget, rng_seed=9)
         b = attack_pipeline(X[perm], budget=budget, rng_seed=9)
         assert a.hamming == b.hamming
@@ -222,7 +220,7 @@ class TestPipeline:
     def test_released_gram_symmetric_and_integer(self, rng):
         from fedlmm.attack import released_rounded_gram
 
-        budget = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=1.0), 0.01, 3)
+        budget = calibrate(1.0, 0.01, 3)
         for rep in range(20):
             X = (rng.random((3, 3)) < 0.5).astype(np.int8)
             g = released_rounded_gram(X, budget, rng_seed=rep)
@@ -245,7 +243,7 @@ class TestPipeline:
                         assert 0 <= g[j, k] <= min(d[j], d[k])
 
     def test_repaired_never_counts_matrix_level(self, rng):
-        budget = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=4.0), 0.01, 3)
+        budget = calibrate(4.0, 0.01, 3)
         seen_repair = False
         for rep in range(60):
             X = (rng.random((3, 3)) < 0.5).astype(np.int8)

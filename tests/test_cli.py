@@ -249,6 +249,24 @@ class TestFit:
         assert "symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "privatize"])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot open"),
+    (b'{"site_id": "caf\xe9"}', "not UTF-8 text"),
+])
+def test_unreadable_summary_exits_1(tmp_path, capsys, command, content, message):
+    path = tmp_path / "site.json"
+    if content is not None:
+        path.write_bytes(content)
+    args = {"fit": ["fit", str(path), "--out", str(tmp_path / "r.json")],
+            "privatize": ["privatize", "--in", str(path), "--out", str(tmp_path / "dp.json"),
+                          "--epsilon0", "4", "--delta", "0.01"]}[command]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(path) in err
+    assert "Traceback" not in err
+
+
 class TestPrivatizeCommand:
     def test_deterministic_bytes(self, tmp_path, summary_files):
         a = tmp_path / "a.json"
@@ -264,6 +282,16 @@ class TestPrivatizeCommand:
                   "--epsilon0", "4", "--delta", "0.01", "--scope", "subset"])
         assert rc == 1
         assert "--sensitive" in capsys.readouterr().err
+
+    def test_full_scope_ignores_sensitive(self, tmp_path, summary_files):
+        outputs = []
+        for extra in ([], ["--sensitive", "9"]):
+            target = tmp_path / f"dp{len(extra)}.json"
+            rc = run(["privatize", "--in", str(summary_files[0]), "--out", str(target),
+                      "--epsilon0", "4", "--delta", "0.01", "--scope", "full", *extra])
+            assert rc == 0
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_budget_recorded(self, tmp_path, summary_files):
         target = tmp_path / "dp.json"
@@ -321,6 +349,16 @@ class TestAttackCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    def test_bad_timeout_exits_1(self, tmp_path, capsys, timeout):
+        out = tmp_path / "rates.csv"
+        rc = run(["attack", "--n", "3", "--p", "3", "--reps", "2", "--timeout", timeout,
+                  "--out", str(out)])
+        assert rc == 1
+        assert "timeout" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulateCommands:
     def test_estimation_smoke(self, tmp_path):
         out = tmp_path / "metrics.csv"
@@ -339,6 +377,18 @@ class TestSimulateCommands:
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 4
         assert {r["epsilon0"] for r in rows} == {"ref", "8.0"}
+
+    @pytest.mark.parametrize("command, level", [
+        ("attack", "abc"), ("simulate-reconstruction", "ref,abc"),
+    ])
+    def test_bad_epsilon0_exits_1(self, tmp_path, capsys, command, level):
+        out = tmp_path / "rates.csv"
+        rc = run([command, "--n", "3", "--p", "3", "--epsilon0", level, "--reps", "2",
+                  "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abc'" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, p", [("2,0", "2"), ("2", "2,0")])
     def test_reconstruction_empty_design_exits_1(self, tmp_path, capsys, n, p):

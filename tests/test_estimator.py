@@ -16,7 +16,7 @@ from fedlmm import (
     profile_beta,
     standardize,
 )
-from fedlmm.privacy import CalibrationRule, calibrate
+from fedlmm.privacy import calibrate
 from fedlmm import simulation
 
 from oracles import (
@@ -40,9 +40,7 @@ def _eps2_private_summaries():
     """K=20 sites released at eps0=2, whose profiled deviance is not well posed."""
     rng = np.random.default_rng(3)
     summ = _summaries(random_sites(rng, K=20, n_range=(3, 8), p=3, tau2=0.8))
-    budget = calibrate(
-        CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), delta=0.01, p=summ.p
-    )
+    budget = calibrate(2.0, delta=0.01, p=summ.p)
     return merge_summaries([privatize(s, budget, rng_seed=5) for s in summ])
 
 
@@ -159,9 +157,7 @@ class TestFitML:
         base = fit_ml(summ)
         dists = []
         for eps0 in (1e2, 1e3, 1e4):
-            budget = calibrate(
-                CalibrationRule(mode="dimension-adjusted", epsilon0=eps0), delta=0.01, p=summ.p
-            )
+            budget = calibrate(eps0, delta=0.01, p=summ.p)
             noisy = merge_summaries([privatize(s, budget, rng_seed=99) for s in summ])
             fit = fit_ml(noisy)
             dists.append(np.linalg.norm(fit.theta_hat.beta - base.theta_hat.beta))
@@ -333,9 +329,7 @@ class TestFitREML:
 
     def test_refuses_privatized(self, rng):
         summ = _summaries(random_sites(rng, K=3))
-        budget = calibrate(
-            CalibrationRule(mode="dimension-adjusted", epsilon0=8.0), delta=0.01, p=summ.p
-        )
+        budget = calibrate(8.0, delta=0.01, p=summ.p)
         noisy = merge_summaries([privatize(s, budget, rng_seed=1) for s in summ])
         with pytest.raises(ValidationError, match="determinant amplification"):
             fit_reml(noisy)

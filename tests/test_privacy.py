@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,18 +6,16 @@ import numpy as np
 import pytest
 
 from fedlmm import (
-    CalibrationRule,
-    ModelSpec,
     PrivacyBudget,
     SiteData,
     ValidationError,
     calibrate,
     compute_summary,
     privatize,
+    save_summary,
     sensitivity_binary_gram,
-    sensitivity_bounded,
 )
-from fedlmm.privacy import gaussian_sigma
+from fedlmm.attack import released_rounded_gram
 
 
 class TestSensitivityBinaryGram:
@@ -49,81 +48,34 @@ class TestSensitivityBinaryGram:
             sensitivity_binary_gram(0)
 
 
-class TestSensitivityBounded:
-    def test_binary_s_only_reduces_to_2p(self):
-        spec = ModelSpec(
-            covariates=("a", "b", "c"),
-            x_bounds=((0, 1), (0, 1), (0, 1)),
-            y_bounds=(0.0, 0.0),
-        )
-        assert sensitivity_bounded(spec, n_k=5, include_t=False) == pytest.approx(6.0)
-
-    def test_single_record_unit_box(self):
-        # p=1, x and y in [0,1], n=1: direct corner maximization gives r2=2,
-        # so the joint bound is sqrt((2*2)^2 + (2*1*2)^2) = 4*sqrt(2)
-        spec = ModelSpec(covariates=("x",), x_bounds=((0, 1),), y_bounds=(0, 1))
-        got = sensitivity_bounded(spec, n_k=1)
-        corners = [(y, x) for y in (0, 1) for x in (0, 1)]
-        r2 = max(y**2 + x**2 for y, x in corners)
-        assert got == pytest.approx(2 * r2 * math.sqrt(2))
-        assert got == pytest.approx(2 * math.sqrt(2) * 2)
-
-    def test_t_block_scales_linearly_in_n(self):
-        spec = ModelSpec(covariates=("x",), x_bounds=((-1, 2),), y_bounds=(-3, 1))
-        d1 = sensitivity_bounded(spec, n_k=10)
-        d2 = sensitivity_bounded(spec, n_k=20)
-        r2 = 9 + 4
-        t1 = math.sqrt(d1**2 - (2 * r2) ** 2)
-        t2 = math.sqrt(d2**2 - (2 * r2) ** 2)
-        assert t2 / t1 == pytest.approx(2.0)
-
-    def test_missing_bounds(self):
-        spec = ModelSpec(covariates=("x",))
-        with pytest.raises(ValidationError, match="bounds"):
-            sensitivity_bounded(spec, n_k=3)
-
-
 class TestCalibrate:
     def test_reference_noise_scale(self):
-        budget = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=2.0), 0.01, p=4)
+        budget = calibrate(2.0, 0.01, p=4)
         assert budget.sigma_dp == pytest.approx(math.sqrt(2 * math.log(125)) / 2)
         assert budget.epsilon == 2 * 4 * 2.0
         assert budget.delta_f == 2 * 4
 
     def test_sigma_independent_of_p(self):
-        rule = CalibrationRule(mode="dimension-adjusted", epsilon0=4.0)
-        sigmas = {calibrate(rule, 0.01, p).sigma_dp for p in (1, 3, 7)}
+        sigmas = {calibrate(4.0, 0.01, p).sigma_dp for p in (1, 3, 7)}
         assert len(sigmas) == 1
 
     def test_monotone_in_epsilon0(self):
-        sigmas = [
-            calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=e), 0.01, 3).sigma_dp
-            for e in (1, 2, 4, 8, 16)
-        ]
+        sigmas = [calibrate(e, 0.01, 3).sigma_dp for e in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
-    def test_fixed_mode_reproduces_dimension_adjusted(self):
-        # (2p c)/(2p eps0) cancels to c/eps0; the two code paths agree to the
-        # last floating-point digit
-        p, eps0, delta = 5, 3.0, 1e-4
-        adjusted = calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=eps0), delta, p)
-        fixed = calibrate(
-            CalibrationRule(mode="fixed", epsilon=2 * p * eps0, delta_f=2.0 * p), delta, p
-        )
-        assert fixed.sigma_dp == pytest.approx(adjusted.sigma_dp, rel=1e-15)
-        assert fixed.epsilon == adjusted.epsilon
-
     def test_delta_domain(self):
-        rule = CalibrationRule(mode="dimension-adjusted", epsilon0=2.0)
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValidationError):
-                calibrate(rule, bad, 3)
+                calibrate(2.0, bad, 3)
+
+    def test_epsilon0_domain(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="epsilon"):
+                calibrate(bad, 0.01, 3)
 
     def test_budget_consistency_enforced(self):
         with pytest.raises(ValidationError, match="inconsistent"):
             PrivacyBudget(epsilon=2.0, delta=0.01, delta_f=4.0, sigma_dp=1.0)
-        ok = PrivacyBudget.from_params(2.0, 0.01, 4.0)
-        assert ok.sigma_dp == gaussian_sigma(4.0, 2.0, 0.01)
 
 
 @pytest.fixture
@@ -134,7 +86,7 @@ def base_summary(rng):
 
 
 def _budget(eps0=2.0, delta=0.01, p=6):
-    return calibrate(CalibrationRule(mode="dimension-adjusted", epsilon0=eps0), delta, p)
+    return calibrate(eps0, delta, p)
 
 
 class TestPrivatize:
@@ -171,9 +123,7 @@ class TestPrivatize:
 
     def test_subset_scope_masks_exactly(self, base_summary):
         sensitive = frozenset({4, 5, 6})
-        noisy = privatize(
-            base_summary, _budget(), scope="subset", sensitive=sensitive, rng_seed=3
-        )
+        noisy = privatize(base_summary, _budget(), sensitive=sensitive, rng_seed=3)
         untouched = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                      (1, 1), (2, 2), (3, 3)]
         for i, j in untouched:
@@ -185,7 +135,7 @@ class TestPrivatize:
 
     def test_subset_rejects_out_of_range(self, base_summary):
         with pytest.raises(ValidationError, match="sensitive"):
-            privatize(base_summary, _budget(), scope="subset", sensitive=frozenset({7}), rng_seed=0)
+            privatize(base_summary, _budget(), sensitive=frozenset({7}), rng_seed=0)
 
     def test_noise_scale_moderate_sample(self, base_summary):
         budget = _budget(eps0=2.0)
@@ -198,3 +148,40 @@ class TestPrivatize:
         assert np.std(diag) == pytest.approx(budget.sigma_dp, rel=0.05)
         assert np.std(off) == pytest.approx(budget.sigma_dp / math.sqrt(2), rel=0.05)
         assert abs(np.mean(diag)) < 4 * budget.sigma_dp / math.sqrt(4000)
+
+
+class TestGoldenRelease:
+    """Release bytes recorded before the privacy layer was reduced to one path.
+
+    The site's data are integers, so S and T are exact and the digests
+    depend only on the calibration and the noise streams.
+    """
+
+    @pytest.mark.parametrize("p, epsilon, delta_f", [(1, 16.0, 2.0), (3, 48.0, 6.0), (7, 112.0, 14.0)])
+    def test_calibrate(self, p, epsilon, delta_f):
+        budget = calibrate(8.0, 0.01, p)
+        assert (budget.epsilon, budget.delta, budget.delta_f) == (epsilon, 0.01, delta_f)
+        assert budget.sigma_dp == 0.38843893251152994
+
+    @pytest.mark.parametrize("sensitive, digest", [
+        (frozenset(), "05ad689115936f50bae81ecd212c6ab9795a163eac9ee91108a5327d18198df7"),
+        (frozenset({2, 3}), "0a5255ec44780b2073b61957e1541bb15436f6f3b79d1c6a7e9acb79b48fb992"),
+    ])
+    def test_privatize_bytes(self, tmp_path, sensitive, digest):
+        i = np.arange(7)
+        X = np.column_stack([np.ones(7), i % 2, (i // 2) % 2, i % 3])
+        summary = compute_summary(SiteData(site_id="golden", y=2.0 * i - 5.0, X=X))
+        path = tmp_path / "released.json"
+        save_summary(privatize(summary, calibrate(8.0, 0.01, 3), sensitive, rng_seed=11), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, gram", [
+        (None, [[3, 2, 2], [2, 3, 2], [2, 2, 4]]),
+        (0, [[3, 3, 3], [3, 3, 2], [3, 2, 4]]),
+        (1, [[3, 2, 2], [2, 3, 2], [2, 2, 5]]),
+        (2, [[4, 2, 2], [2, 3, 2], [2, 2, 4]]),
+    ])
+    def test_released_rounded_gram(self, seed, gram):
+        X = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1], [0, 0, 1]], dtype=np.int8)
+        budget = None if seed is None else calibrate(8.0, 0.01, 3)
+        assert released_rounded_gram(X, budget, seed or 0).tolist() == gram

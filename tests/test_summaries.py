@@ -180,16 +180,6 @@ class TestStandardize:
         with pytest.raises(ValidationError, match="column 3"):
             standardize(bad)
 
-    def test_no_intercept_scales_only(self, rng):
-        sites = [
-            SiteData(site_id=f"s{k}", y=rng.normal(3.0, 2.0, 10), X=rng.normal(1.0, 2.0, (10, 2)))
-            for k in range(3)
-        ]
-        std, record = standardize(sites, intercept=False)
-        X = np.concatenate([s.X for s in std])
-        np.testing.assert_allclose(X.std(axis=0), 1.0, atol=1e-12)
-        assert abs(X.mean(axis=0)).max() > 0.1  # not centered
-
 
 class TestExchangeFormat:
     def test_round_trip_bitwise(self, rng, tmp_path):
