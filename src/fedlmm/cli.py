@@ -1,9 +1,9 @@
 """Command-line interface: summarize, privatize, fit, attack, simulate.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical failure.  Every
-command accepts --seed and is byte-reproducible under it; commands with
-no randomness simply ignore the seed.  Relative output paths resolve
-against $FEDLMM_OUT_DIR when it is set.
+Exit codes: 0 success, 1 invalid input (usage errors included), 2
+numerical failure.  Every command accepts --seed and is byte-reproducible
+under it; commands with no randomness simply ignore the seed.  Relative
+output paths resolve against $FEDLMM_OUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -400,8 +400,19 @@ def cmd_pipeline(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are invalid input (exit 1), not its exit 2.
+
+    ``add_subparsers`` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedlmm",
         description="One-shot federated linear mixed models with differential privacy",
     )
@@ -486,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValidationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

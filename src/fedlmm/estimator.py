@@ -36,6 +36,7 @@ The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,21 @@ _MAX_EVALS = 2000
 _COND_LIMIT = 1e12
 
 
+def require_well_conditioned(matrix: np.ndarray, what: str) -> None:
+    """Raise SingularDesignError unless cond_2(matrix) <= ``_COND_LIMIT``.
+
+    cond_2 is s_max / s_min from one SVD, the value ``np.linalg.cond``
+    returns, with s_min = 0 and NaN read as inf; the error carries it.
+    """
+    s = np.linalg.svd(matrix, compute_uv=False)
+    s_min = float(s[-1])
+    cond = float(s[0]) / s_min if s_min > 0 else math.inf
+    if not cond <= _COND_LIMIT:
+        if math.isnan(cond):
+            cond = math.inf
+        raise SingularDesignError(f"{what} is numerically singular (cond ~ {cond:.3e})", cond)
+
+
 @dataclass
 class FitResult:
     """Outcome of a summary-based fit, with cached per-site weights."""
@@ -106,7 +122,17 @@ class FitResult:
 
 
 class _Kernel:
-    """Stacked-array evaluation of the summary likelihood and its profile."""
+    """Stacked-array evaluation of the summary likelihood and its profile.
+
+    ``txx_flat`` holds T_k[XX] reshaped once to (K, p*p): a C-ordered copy
+    of the strided ``T[:, 1:, 1:]`` view for p > 1, a view for p = 1.  It
+    is the array ``np.tensordot`` builds on every call, so the weight sum
+    sum_k c_k T_k[XX] is the same (1, K) x (K, p*p) ``dot`` without the
+    per-call copy.  The condition check on sum_k W_k stays an SVD
+    (``require_well_conditioned``): on heavily noised summaries the 2-D
+    search follows the cond = 1e12 wall, and any other estimate of cond
+    would move its path.
+    """
 
     def __init__(self, summaries: FederatedSummarySet):
         st = summaries.stacked()
@@ -122,6 +148,7 @@ class _Kernel:
         self.sxy_sum = self.S_sum[1:, 0]
         self.syy_sum = self.S_sum[0, 0]
         self.txx = self.T_full[:, 1:, 1:]
+        self.txx_flat = self.txx.reshape(self.K, self.p * self.p)
         self.txy = self.T_full[:, 1:, 0]
         self.tyy = self.T_full[:, 0, 0]
         self.sum_nm1 = float((self.n - 1.0).sum())
@@ -130,38 +157,42 @@ class _Kernel:
         s = self.syy_sum / self.N
         return float(s) if np.isfinite(s) and s > 0 else 1.0
 
-    def _shrink(self, sigma2: float, tau2: float) -> np.ndarray:
-        return tau2 / (sigma2 + self.n * tau2)
+    def shrink(self, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site c_k = tau2/(sigma2 + n_k tau2) and the denominators."""
+        denom = sigma2 + self.n * tau2
+        return tau2 / denom, denom
 
-    def logdet_term(self, sigma2: float, tau2: float) -> float:
-        return self.sum_nm1 * np.log(sigma2) + float(np.log(sigma2 + self.n * tau2).sum())
+    def _logdet(self, sigma2: float, denom: np.ndarray) -> float:
+        return self.sum_nm1 * np.log(sigma2) + float(np.log(denom).sum())
 
     def loglik(self, beta: np.ndarray, sigma2: float, tau2: float) -> float:
-        c = self._shrink(sigma2, tau2)
+        c, denom = self.shrink(sigma2, tau2)
         M = self.S_sum - np.tensordot(c, self.T_full, axes=([0], [0]))
         v = np.concatenate(([1.0], -np.asarray(beta, dtype=float)))
         quad = float(v @ M @ v) / sigma2
-        return -0.5 * (self.logdet_term(sigma2, tau2) + quad)
+        return -0.5 * (self._logdet(sigma2, denom) + quad)
 
-    def weight_sums(self, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray]:
-        c = self._shrink(sigma2, tau2)
-        W_sum = (self.sxx_sum - np.tensordot(c, self.txx, axes=([0], [0]))) / sigma2
+    def weight_sums(self, sigma2: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_k W_k and sum_k Q_k at the shrinkages c = ``shrink(sigma2, tau2)[0]``."""
+        txx_c = np.dot(c.reshape(1, -1), self.txx_flat).reshape(self.p, self.p)
+        W_sum = (self.sxx_sum - txx_c) / sigma2
         Q_sum = (self.sxy_sum - c @ self.txy) / sigma2
         return W_sum, Q_sum
 
     def per_site_weights(self, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray]:
-        c = self._shrink(sigma2, tau2)
+        c, _ = self.shrink(sigma2, tau2)
         W = (self.S_full[:, 1:, 1:] - c[:, None, None] * self.txx) / sigma2
         Q = (self.S_full[:, 1:, 0] - c[:, None] * self.txy) / sigma2
         return W, Q
 
     def profile_beta(self, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        W_sum, Q_sum = self.weight_sums(sigma2, tau2)
-        cond = np.linalg.cond(W_sum)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularDesignError(
-                f"aggregated weight matrix is numerically singular (cond ~ {cond:.3e})", cond
-            )
+        return self._profile_beta(sigma2, self.shrink(sigma2, tau2)[0])
+
+    def _profile_beta(
+        self, sigma2: float, c: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        W_sum, Q_sum = self.weight_sums(sigma2, c)
+        require_well_conditioned(W_sum, "aggregated weight matrix")
         beta = np.linalg.solve(W_sum, Q_sum)
         return beta, W_sum, Q_sum
 
@@ -172,12 +203,12 @@ class _Kernel:
 
         With ``reml``, less half the log determinant of sum_k W_k.
         """
-        beta, W_sum, Q_sum = self.profile_beta(sigma2, tau2)
-        c = self._shrink(sigma2, tau2)
+        c, denom = self.shrink(sigma2, tau2)
+        beta, W_sum, Q_sum = self._profile_beta(sigma2, c)
         syy_c = (self.syy_sum - float(c @ self.tyy)) / sigma2
         # quadratic form at the profile solution: v'Mv/s2 = syy_c - beta'Q_sum
         quad = syy_c - float(beta @ Q_sum)
-        g = -0.5 * (self.logdet_term(sigma2, tau2) + quad)
+        g = -0.5 * (self._logdet(sigma2, denom) + quad)
         if reml:
             sign, logdet = np.linalg.slogdet(W_sum)
             if sign <= 0:
@@ -276,9 +307,14 @@ class _SearchSpace:
     tau2_hi: float
 
     def decode(self, u: np.ndarray) -> tuple[float, float] | None:
-        with np.errstate(over="ignore"):
+        if u[0] <= 709.0:  # exp(709) ~ 8.218e307; np.exp overflows past ~709.78
             sigma2 = float(np.exp(u[0]))
-            tau2 = _softplus(u[1]) if u.shape[0] > 1 else 0.0
+        elif self.sigma2_hi < 8.2e307:
+            return None  # sigma2 above the box
+        else:  # a box reaching past exp(709) needs an outcome scale above 8e299
+            with np.errstate(over="ignore"):
+                sigma2 = float(np.exp(u[0]))
+        tau2 = _softplus(u[1]) if u.shape[0] > 1 else 0.0
         if not (self.sigma2_lo <= sigma2 <= self.sigma2_hi) or tau2 > self.tau2_hi:
             return None
         return sigma2, tau2
@@ -404,7 +440,7 @@ def _nelder_mead_search(
             g, _ = kernel.profile_value(*decoded, reml=reml)
         except (SingularDesignError, np.linalg.LinAlgError):
             return _PENALTY
-        return -g if np.isfinite(g) else _PENALTY
+        return -g if math.isfinite(g) else _PENALTY
 
     # Moment-flavored spread of starting points around the OLS residual scale.
     try:
@@ -490,7 +526,7 @@ def evaluate_fit(summaries: FederatedSummarySet, theta: Theta) -> FitResult:
         )
     kernel = _Kernel(summaries)
     W, Q = kernel.per_site_weights(theta.sigma2, theta.tau2)
-    W_sum, Q_sum = kernel.weight_sums(theta.sigma2, theta.tau2)
+    W_sum, Q_sum = kernel.weight_sums(theta.sigma2, kernel.shrink(theta.sigma2, theta.tau2)[0])
     return FitResult(
         theta_hat=theta,
         objective=kernel.loglik(theta.beta, theta.sigma2, theta.tau2),

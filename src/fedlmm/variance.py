@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .errors import SingularDesignError, ValidationError
-from .estimator import FitResult
+from .errors import ValidationError
+from .estimator import FitResult, require_well_conditioned
 from .summaries import FederatedSummarySet
 
 CORRECTIONS = ("cr0", "cr1", "cr1p", "cr1s")
@@ -75,11 +75,7 @@ def cr0(summaries: FederatedSummarySet, fit: FitResult) -> RobustVariance:
         raise ValidationError("cached weights do not match the summary set")
     beta = fit.theta_hat.beta
     bread_inv = W.sum(axis=0)
-    cond = np.linalg.cond(bread_inv)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularDesignError(
-            f"sandwich bread is numerically singular (cond ~ {cond:.3e})", cond
-        )
+    require_well_conditioned(bread_inv, "sandwich bread")
     G = Q - W @ beta  # (K, p) stack of per-site score contributions
     meat = G.T @ G
     half = np.linalg.solve(bread_inv, meat)

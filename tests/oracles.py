@@ -174,3 +174,32 @@ def dense_cr0_sandwich(
     bread = np.linalg.inv(bread_inv)
     V = bread @ meat @ bread
     return (V + V.T) / 2.0
+
+
+# The summary-route profile objective in its plainest stacked-array form:
+# tensordot on the strided T[:, 1:, 1:] view, np.linalg.cond, the shrinkage
+# computed twice.  The estimator's kernel must reproduce it bit for bit.
+
+
+def stacked_profile(summaries, sigma2: float, tau2: float, reml: bool = False):
+    """(g, beta, W_sum, Q_sum): profile objective, GLS beta and the weight sums."""
+    st = summaries.stacked()
+    n, S, T = st["n"], st["S"], st["T"]
+    S_sum = S.sum(axis=0)
+    c = tau2 / (sigma2 + n * tau2)
+    W_sum = (S_sum[1:, 1:] - np.tensordot(c, T[:, 1:, 1:], axes=([0], [0]))) / sigma2
+    Q_sum = (S_sum[1:, 0] - c @ T[:, 1:, 0]) / sigma2
+    cond = np.linalg.cond(W_sum)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularDesignError(f"cond ~ {cond:.3e}", cond)
+    beta = np.linalg.solve(W_sum, Q_sum)
+    c = tau2 / (sigma2 + n * tau2)
+    quad = (S_sum[0, 0] - float(c @ T[:, 0, 0])) / sigma2 - float(beta @ Q_sum)
+    logdet = float((n - 1.0).sum()) * np.log(sigma2) + float(np.log(sigma2 + n * tau2).sum())
+    g = -0.5 * (logdet + quad)
+    if reml:
+        sign, logdet_w = np.linalg.slogdet(W_sum)
+        if sign <= 0:
+            raise SingularDesignError("REML determinant argument is not positive definite")
+        g = g - 0.5 * logdet_w
+    return g, beta, W_sum, Q_sum

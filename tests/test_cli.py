@@ -267,6 +267,29 @@ def test_unreadable_summary_exits_1(tmp_path, capsys, command, content, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["privatize", "--in", "x.json", "--out", "y.json", "--epsilon0", "abc", "--delta", "0.01"],
+     "fedlmm privatize: argument --epsilon0: invalid float value: 'abc'"),
+    (["privatize", "--in", "x.json", "--out", "y.json", "--delta", "0.01"],
+     "fedlmm privatize: the following arguments are required: --epsilon0"),
+    (["frobnicate"], "fedlmm: argument command: invalid choice: 'frobnicate'"),
+], ids=["mistyped-float", "missing-option", "unknown-command"])
+def test_usage_error_exits_1(capsys, args, message):
+    """A mistyped, missing or unknown argument is invalid input: exit 1, not argparse's 2."""
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert f"\nerror: {message}" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["privatize", "--help"])
+    assert exc.value.code == 0
+    assert "--epsilon0" in capsys.readouterr().out
+
+
 class TestPrivatizeCommand:
     def test_deterministic_bytes(self, tmp_path, summary_files):
         a = tmp_path / "a.json"

@@ -25,6 +25,7 @@ from oracles import (
     dense_loglik_reml,
     random_sites,
     sherman_morrison_gls,
+    stacked_profile,
 )
 
 
@@ -126,7 +127,93 @@ class TestProfileBeta:
         sites = [SiteData(site_id="s", y=rng.normal(size=n), X=X)]
         with pytest.raises(SingularDesignError) as err:
             profile_beta(1.0, 0.0, _summaries(sites))
-        assert err.value.condition_number is None or err.value.condition_number > 1e12
+        assert err.value.condition_number > 1e12  # inf included
+
+
+def _kernel_outcome(evaluate):
+    """An evaluation's value, or the condition number of its SingularDesignError."""
+    try:
+        return False, evaluate()
+    except SingularDesignError as err:
+        return True, err.condition_number
+
+
+class TestKernelBitIdentity:
+    """The kernel's cached layout and single shrinkage change no bit of the profile."""
+
+    @staticmethod
+    def _instances(rng):
+        exact = [_summaries(random_sites(rng, K=int(rng.integers(3, 30)), p=p))
+                 for p in (1, 2, 3, 4)]
+        scenario = simulation.Scenario.from_name("ri-correct", K=200)
+        sites = simulation.generate(scenario, seed=11)
+        study = _summaries(standardize(sites, names=scenario.design_columns)[0])
+        private = [
+            merge_summaries([privatize(s, calibrate(eps0, delta=0.01, p=summ.p), rng_seed=seed)
+                             for s in summ])
+            for eps0, seed, summ in ((4.0, 1, study), (8.0, 2, exact[2]), (16.0, 3, exact[3]))
+        ]
+        n = 6
+        base = rng.normal(size=n)
+        collinear = _summaries([SiteData(site_id=f"s{k}", y=rng.normal(size=n),
+                                         X=np.column_stack([base, 2.0 * base])) for k in range(3)])
+        unprivatized = exact + [study, collinear]
+        return [(summ, True) for summ in unprivatized] + [(summ, False) for summ in private]
+
+    def test_profile_matches_stacked_reference_bitwise(self, rng):
+        from fedlmm.estimator import _Kernel
+
+        points = []  # (summaries, sigma2, tau2, reml)
+        for summ, exact in self._instances(rng):
+            scale = _Kernel(summ).scale()
+            for _ in range(16):
+                sigma2 = scale * float(np.exp(rng.uniform(-4.0, 3.0)))
+                tau2 = 0.0 if rng.uniform() < 0.2 else scale * float(np.exp(rng.uniform(-6.0, 4.0)))
+                points.append((summ, sigma2, tau2, exact and rng.uniform() < 0.5))
+        # the eps0=2 ridge: cond(sum_k W_k) crosses 1e12 within 1e-9 of the fit
+        ridge = _eps2_private_summaries()
+        fit = fit_ml(ridge)
+        for d in np.concatenate([-np.logspace(-13, -8, 30), np.logspace(-13, -8, 30)]):
+            points.append((ridge, fit.theta_hat.sigma2, fit.theta_hat.tau2 * (1.0 + d), False))
+            points.append((ridge, fit.theta_hat.sigma2 * (1.0 + d), fit.theta_hat.tau2, False))
+
+        singular = 0
+        for summ, sigma2, tau2, reml in points:
+            kernel = _Kernel(summ)
+            failed, got = _kernel_outcome(lambda: kernel.profile_value(sigma2, tau2, reml=reml))
+            ref_failed, ref = _kernel_outcome(
+                lambda: stacked_profile(summ, sigma2, tau2, reml=reml))
+            assert failed == ref_failed
+            singular += failed
+            if failed:
+                assert got == ref  # the same condition number, inf included
+                continue
+            assert got[0] == ref[0]
+            assert np.array_equal(got[1], ref[1])
+            beta, W_sum, Q_sum = kernel.profile_beta(sigma2, tau2)
+            for mine, theirs in zip((beta, W_sum, Q_sum), ref[1:]):
+                assert np.array_equal(mine, theirs)
+        assert len(points) >= 200
+        assert 20 <= singular <= len(points) - 100
+
+
+def test_search_space_decode_large_log_sigma2():
+    """Past exp(709) decode rejects without calling np.exp, unless the box reaches there."""
+    import warnings
+
+    from fedlmm.estimator import _SearchSpace
+
+    box = _SearchSpace(sigma2_lo=1e-8, sigma2_hi=1e8, tau2_hi=1e8)
+    top = float(np.finfo(float).max)
+    huge = _SearchSpace(sigma2_lo=1e-8, sigma2_hi=top, tau2_hi=top)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in np.exp would raise here
+        assert box.decode(np.array([709.5, 0.0])) is None
+        assert box.decode(np.array([1e6])) is None
+        assert box.decode(np.array([np.nan, 0.0])) is None
+        assert huge.decode(np.array([709.5])) == (float(np.exp(709.5)), 0.0)
+        assert huge.decode(np.array([1e6, 0.0])) is None
+    assert box.decode(np.array([0.0, 0.0])) == (1.0, float(np.logaddexp(0.0, 0.0)))
 
 
 class TestFitML:

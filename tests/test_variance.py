@@ -80,8 +80,9 @@ class TestCR0:
         summ = _summaries(random_sites(rng, K=3, p=2))
         fit = fit_ml(summ)
         fit.per_site_weights["W"] = np.zeros_like(fit.per_site_weights["W"])
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError, match="sandwich bread is numerically") as err:
             cr0(summ, fit)
+        assert err.value.condition_number == np.inf
 
 
 class TestCorrections:
