@@ -30,7 +30,6 @@ from .summaries import (
 from .estimator import (
     FitResult,
     Theta,
-    evaluate_fit,
     fit_ml,
     fit_reml,
     loglik_ml,

@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
         fit = fit_ml(summaries)
     else:
         fit = fit_reml(summaries)
-    v = apply_correction(cr0(summaries, fit), args.correction)
+    v = apply_correction(cr0(summaries, fit.theta_hat), args.correction)
     ci = wald_ci(fit, v, level=args.level, use_t=args.use_t)
     report = {
         "fit": fit.to_dict(),
@@ -344,42 +344,24 @@ def end_to_end(outdir, seed: int = 7, epsilon0: float = 8.0) -> dict[str, object
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = write_bundle_csv(out / "bundle.csv")
-    rc = main(
-        ["summarize", "--csv", str(bundle), "--outcome", "y", "--covariates",
-         "x1,x2,x3", "--site-col", "site", "--out", str(out / "summaries")]
-    )
-    if rc != 0:
-        raise FedLMMError(f"summarize stage failed with exit code {rc}")
-    summary_files = sorted(str(p) for p in (out / "summaries").glob("*.json"))
-    dp_files = []
-    for i, f in enumerate(summary_files):
-        target = out / "private" / Path(f).name
-        rc = main(
-            ["privatize", "--in", f, "--out", str(target), "--epsilon0", repr(epsilon0),
-             "--delta", "0.01", "--scope", "full", "--seed", str(seed)]
-        )
+
+    def run(argv: list[str]) -> None:
+        rc = main(argv)
         if rc != 0:
-            raise FedLMMError(f"privatize stage failed with exit code {rc}")
-        dp_files.append(str(target))
-    rc = main(
-        ["fit", *dp_files, "--method", "ml", "--correction", "cr1",
-         "--out", str(out / "fit_dp.json"), "--coef-csv", str(out / "coef_dp.csv")]
-    )
-    if rc != 0:
-        raise FedLMMError(f"fit stage failed with exit code {rc}")
-    rc = main(
-        ["fit", *summary_files, "--method", "ml", "--correction", "cr1",
-         "--out", str(out / "fit_plain.json"), "--coef-csv", str(out / "coef_plain.csv")]
-    )
-    if rc != 0:
-        raise FedLMMError(f"fit stage failed with exit code {rc}")
-    rc = main(
-        ["attack", "--n", "3", "--p", "3", "--epsilon0", repr(epsilon0),
-         "--delta", "0.01", "--reps", "50", "--seed", str(seed),
-         "--out", str(out / "attack.csv")]
-    )
-    if rc != 0:
-        raise FedLMMError(f"attack stage failed with exit code {rc}")
+            raise FedLMMError(f"{argv[0]} stage failed with exit code {rc}")
+
+    run(["summarize", "--csv", str(bundle), "--outcome", "y", "--covariates",
+         "x1,x2,x3", "--site-col", "site", "--out", str(out / "summaries")])
+    summary_files = sorted(str(p) for p in (out / "summaries").glob("*.json"))
+    dp_files = [str(out / "private" / Path(f).name) for f in summary_files]
+    for f, target in zip(summary_files, dp_files):
+        run(["privatize", "--in", f, "--out", target, "--epsilon0", repr(epsilon0),
+             "--delta", "0.01", "--scope", "full", "--seed", str(seed)])
+    for name, files in (("dp", dp_files), ("plain", summary_files)):
+        run(["fit", *files, "--method", "ml", "--correction", "cr1",
+             "--out", str(out / f"fit_{name}.json"), "--coef-csv", str(out / f"coef_{name}.csv")])
+    run(["attack", "--n", "3", "--p", "3", "--epsilon0", repr(epsilon0),
+         "--delta", "0.01", "--reps", "50", "--seed", str(seed), "--out", str(out / "attack.csv")])
     return {
         "bundle": bundle,
         "summaries": summary_files,

@@ -37,7 +37,7 @@ The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -96,7 +96,7 @@ def require_well_conditioned(matrix: np.ndarray, what: str) -> None:
 
 @dataclass
 class FitResult:
-    """Outcome of a summary-based fit, with cached per-site weights."""
+    """Outcome of a summary-based fit."""
 
     theta_hat: Theta
     objective: float
@@ -104,8 +104,7 @@ class FitResult:
     converged: bool
     iterations: int
     boundary_tau: bool
-    search: str = "none"  # "profile" | "nelder-mead"; "none" when theta was given
-    per_site_weights: dict = field(repr=False, default_factory=dict)
+    search: str  # "profile" | "nelder-mead"
 
     def to_dict(self) -> dict:
         return {
@@ -257,12 +256,17 @@ def _check_theta_domain(sigma2: float, tau2: float) -> None:
         raise ValidationError("tau2 must be nonnegative")
 
 
-def loglik_ml(theta: Theta, summaries: FederatedSummarySet) -> float:
-    """Pooled ML log-likelihood reconstructed from summaries."""
+def require_beta_length(theta: Theta, summaries: FederatedSummarySet) -> None:
+    """Raise ValidationError unless theta.beta has one entry per design column."""
     if theta.beta.shape[0] != summaries.p:
         raise ValidationError(
             f"beta has length {theta.beta.shape[0]} but summaries have p={summaries.p}"
         )
+
+
+def loglik_ml(theta: Theta, summaries: FederatedSummarySet) -> float:
+    """Pooled ML log-likelihood reconstructed from summaries."""
+    require_beta_length(theta, summaries)
     return _Kernel(summaries).loglik(theta.beta, theta.sigma2, theta.tau2)
 
 
@@ -499,8 +503,7 @@ def _finalize(
     kernel: _Kernel, method: str, search: str, sigma2: float, tau2: float, value: float,
     converged: bool, n_evals: int, boundary: bool,
 ) -> FitResult:
-    beta, W_sum, Q_sum = kernel.profile_beta(sigma2, tau2)
-    W, Q = kernel.per_site_weights(sigma2, tau2)
+    beta, _, _ = kernel.profile_beta(sigma2, tau2)
     theta = Theta(beta=beta, sigma2=sigma2, tau2=tau2)
     return FitResult(
         theta_hat=theta,
@@ -510,31 +513,6 @@ def _finalize(
         iterations=int(n_evals),
         boundary_tau=bool(boundary),
         search=search,
-        per_site_weights={"W": W, "Q": Q, "W_sum": W_sum, "Q_sum": Q_sum},
-    )
-
-
-def evaluate_fit(summaries: FederatedSummarySet, theta: Theta) -> FitResult:
-    """Package a caller-chosen theta as a FitResult with cached weights.
-
-    No optimization happens; beta is taken as-is.  Useful for computing
-    sandwich variances at externally fixed parameters.
-    """
-    if theta.beta.shape[0] != summaries.p:
-        raise ValidationError(
-            f"beta has length {theta.beta.shape[0]} but summaries have p={summaries.p}"
-        )
-    kernel = _Kernel(summaries)
-    W, Q = kernel.per_site_weights(theta.sigma2, theta.tau2)
-    W_sum, Q_sum = kernel.weight_sums(theta.sigma2, kernel.shrink(theta.sigma2, theta.tau2)[0])
-    return FitResult(
-        theta_hat=theta,
-        objective=kernel.loglik(theta.beta, theta.sigma2, theta.tau2),
-        method="ML",
-        converged=True,
-        iterations=0,
-        boundary_tau=theta.tau2 == 0.0,
-        per_site_weights={"W": W, "Q": Q, "W_sum": W_sum, "Q_sum": Q_sum},
     )
 
 

@@ -30,6 +30,11 @@ from .variance import apply_correction, cr0
 ARMS = ("ipd", "dp", "dp2")
 
 _BETA0 = (1.0, 0.5, 0.5, -1.0, -0.5, 1.0, -1.0)
+_SIGMA2 = 1.0
+# Site sizes: with probability _P_SMALL uniform on _SMALL_SIZES, else on _LARGE_SIZES.
+_P_SMALL = 0.8
+_SMALL_SIZES = (2, 10)
+_LARGE_SIZES = (50, 100)
 _BERNOULLI_P = {1: 0.5, 3: 0.3, 4: 0.7, 5: 0.5}
 _NORMAL_SD = {2: 1.0, 6: 0.5}
 _SENSITIVE_COVARIATES = (4, 5, 6)  # x4, x5, x6 carry the privacy-sensitive values
@@ -42,27 +47,21 @@ class Scenario:
     The generator draws six covariates (four Bernoulli, two Gaussian) and a
     site-level random intercept, optionally plus a random slope on x1; the
     analysis model either matches the full mean structure or underfits with
-    (x1, x2) only.  Site sizes come from a small/large mixture.
+    (x1, x2) only.  The true beta and sigma2 (``_BETA0``, ``_SIGMA2``) and
+    the small/large site-size mixture are fixed; tau2 is settable.
     """
 
     name: str
     generator: str = "random-intercept"  # | "random-intercept-slope"
     analysis: str = "full"  # | "underfit"
     K: int = 20
-    beta0: tuple[float, ...] = _BETA0
-    sigma2: float = 1.0
     tau2: float = 1.0
-    p_small: float = 0.8
-    small_sizes: tuple[int, int] = (2, 10)
-    large_sizes: tuple[int, int] = (50, 100)
 
     def __post_init__(self):
         if self.generator not in ("random-intercept", "random-intercept-slope"):
             raise ValidationError(f"unknown generator {self.generator!r}")
         if self.analysis not in ("full", "underfit"):
             raise ValidationError(f"unknown analysis {self.analysis!r}")
-        if not (0.0 <= self.p_small <= 1.0):
-            raise ValidationError("p_small must be a probability")
         if self.K < 1:
             raise ValidationError("K must be >= 1")
 
@@ -87,7 +86,7 @@ class Scenario:
 
     @property
     def beta0_analysis(self) -> np.ndarray:
-        beta = np.asarray(self.beta0)
+        beta = np.asarray(_BETA0)
         return beta if self.analysis == "full" else beta[:3]
 
     @property
@@ -101,9 +100,9 @@ class Scenario:
 
 def draw_site_sizes(rng: np.random.Generator, scenario: Scenario) -> np.ndarray:
     """Mixture of small and large site sizes (inclusive uniform ranges)."""
-    small = rng.integers(scenario.small_sizes[0], scenario.small_sizes[1] + 1, scenario.K)
-    large = rng.integers(scenario.large_sizes[0], scenario.large_sizes[1] + 1, scenario.K)
-    pick_small = rng.random(scenario.K) < scenario.p_small
+    small = rng.integers(_SMALL_SIZES[0], _SMALL_SIZES[1] + 1, scenario.K)
+    large = rng.integers(_LARGE_SIZES[0], _LARGE_SIZES[1] + 1, scenario.K)
+    pick_small = rng.random(scenario.K) < _P_SMALL
     return np.where(pick_small, small, large)
 
 
@@ -117,7 +116,7 @@ def generate(scenario: Scenario, seed) -> list[SiteData]:
     """Draw the full-design data of all sites (intercept + six covariates)."""
     rng = _rng_from(seed)
     sizes = draw_site_sizes(rng, scenario)
-    beta = np.asarray(scenario.beta0)
+    beta = np.asarray(_BETA0)
     sites = []
     for k, n in enumerate(sizes):
         n = int(n)
@@ -133,7 +132,7 @@ def generate(scenario: Scenario, seed) -> list[SiteData]:
         if scenario.generator == "random-intercept-slope":
             b1 = rng.normal(0.0, math.sqrt(scenario.tau2))
             y = y + b1 * X[:, 1]
-        y = y + rng.normal(0.0, math.sqrt(scenario.sigma2), n)
+        y = y + rng.normal(0.0, math.sqrt(_SIGMA2), n)
         sites.append(SiteData(site_id=f"site{k:04d}", y=y, X=X))
     return sites
 
@@ -169,9 +168,13 @@ def _derived_seed(parts: Sequence[int]) -> int:
 
 def _fit_arm(summaries, record):
     fit = fit_ml(summaries)
-    beta = record.beta_to_original(fit.theta_hat.beta)
-    v = cr0(summaries, fit)
-    return fit, beta, v
+    return fit, record.beta_to_original(fit.theta_hat.beta), cr0(summaries, fit.theta_hat)
+
+
+def _original_se(v, record, correction: str) -> np.ndarray:
+    """Per-coefficient SEs of the corrected sandwich on the original covariate scale."""
+    V = record.variance_to_original(apply_correction(v, correction).V)
+    return np.sqrt(np.clip(np.diag(V), 0.0, None))
 
 
 def one_replicate(
@@ -183,20 +186,21 @@ def one_replicate(
     arms: Sequence[str] = ARMS,
 ) -> list[MetricRow]:
     """All arms of one replicate on common generated data."""
-    rows: list[MetricRow] = []
+    private = [
+        (arm, eps_idx, eps)
+        for arm in ("dp", "dp2") if arm in arms
+        for eps_idx, eps in enumerate(epsilon0_grid)
+    ]
 
-    def failed_row(arm, eps):
+    def row(arm, eps, **fields):
         return MetricRow(
             scenario=scenario.name, arm=arm, epsilon0=eps, K=scenario.K,
-            replicate=replicate, failed=True, correction=correction,
+            replicate=replicate, correction=correction, **fields,
         )
 
     def all_failed():
-        out = [failed_row("ipd", None)] if "ipd" in arms else []
-        for arm in ("dp", "dp2"):
-            if arm in arms:
-                out.extend(failed_row(arm, eps) for eps in epsilon0_grid)
-        return out
+        out = [row("ipd", None, failed=True)] if "ipd" in arms else []
+        return out + [row(arm, eps, failed=True) for arm, _, eps in private]
 
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[int(seed), int(replicate), 0])
@@ -213,61 +217,41 @@ def one_replicate(
         ipd_fit, ipd_beta, ipd_v = _fit_arm(summaries, record)
     except (FedLMMError, np.linalg.LinAlgError):
         return all_failed()
-    ipd_vc = apply_correction(ipd_v, correction)
-    ipd_V = record.variance_to_original(ipd_vc.V)
-    ipd_se = np.sqrt(np.clip(np.diag(ipd_V), 0.0, None))
+    ipd_se = _original_se(ipd_v, record, correction)
     ipd_se_norm = float(np.linalg.norm(ipd_se))
     ipd_failed = not ipd_fit.converged
+    rows: list[MetricRow] = []
     if "ipd" in arms:
-        rows.append(
-            MetricRow(
-                scenario=scenario.name, arm="ipd", epsilon0=None, K=scenario.K,
-                replicate=replicate, failed=ipd_failed, correction=correction,
-                l2_error=float(np.linalg.norm(ipd_beta - beta0)),
-                l2_privacy_cost=0.0, se_inflation=1.0,
-                beta_hat=tuple(ipd_beta), se_hat=tuple(ipd_se),
-            )
-        )
+        rows.append(row(
+            "ipd", None, failed=ipd_failed, l2_error=float(np.linalg.norm(ipd_beta - beta0)),
+            l2_privacy_cost=0.0, se_inflation=1.0, beta_hat=tuple(ipd_beta), se_hat=tuple(ipd_se),
+        ))
 
-    p_design = summaries.p
     delta = 1.0 / summaries.N
-    for arm in ("dp", "dp2"):
-        if arm not in arms:
-            continue
+    for arm, eps_idx, eps in private:
+        budget = calibrate(float(eps), delta=delta, p=summaries.p)
         sensitive = frozenset() if arm == "dp" else scenario.sensitive_design_blocks
-        for eps_idx, eps in enumerate(epsilon0_grid):
-            budget = calibrate(float(eps), delta=delta, p=p_design)
-            arm_seed = _derived_seed(
-                [seed, replicate, 1, ("dp", "dp2").index(arm), eps_idx]
-            )
-            try:
-                if arm == "dp2" and not sensitive:
-                    # no analysis column is sensitive: the dp2 release adds no noise
-                    noisy = summaries
-                else:
-                    noisy = merge_summaries(
-                        [privatize(s, budget, sensitive=sensitive, rng_seed=arm_seed) for s in summaries]
-                    )
-                fit, beta, v = _fit_arm(noisy, record)
-            except (FedLMMError, np.linalg.LinAlgError):
-                rows.append(failed_row(arm, float(eps)))
-                continue
-            vc = apply_correction(v, correction)
-            V = record.variance_to_original(vc.V)
-            se = np.sqrt(np.clip(np.diag(V), 0.0, None))
-            rows.append(
-                MetricRow(
-                    scenario=scenario.name, arm=arm, epsilon0=float(eps), K=scenario.K,
-                    replicate=replicate, failed=ipd_failed or not fit.converged,
-                    correction=correction,
-                    l2_error=float(np.linalg.norm(beta - beta0)),
-                    l2_privacy_cost=float(np.linalg.norm(beta - ipd_beta)),
-                    se_inflation=(
-                        float(np.linalg.norm(se)) / ipd_se_norm if ipd_se_norm > 0 else None
-                    ),
-                    beta_hat=tuple(beta), se_hat=tuple(se),
+        arm_seed = _derived_seed([seed, replicate, 1, ("dp", "dp2").index(arm), eps_idx])
+        try:
+            if arm == "dp2" and not sensitive:
+                # no analysis column is sensitive: the dp2 release adds no noise
+                noisy = summaries
+            else:
+                noisy = merge_summaries(
+                    [privatize(s, budget, sensitive=sensitive, rng_seed=arm_seed) for s in summaries]
                 )
-            )
+            fit, beta, v = _fit_arm(noisy, record)
+        except (FedLMMError, np.linalg.LinAlgError):
+            rows.append(row(arm, float(eps), failed=True))
+            continue
+        se = _original_se(v, record, correction)
+        rows.append(row(
+            arm, float(eps), failed=ipd_failed or not fit.converged,
+            l2_error=float(np.linalg.norm(beta - beta0)),
+            l2_privacy_cost=float(np.linalg.norm(beta - ipd_beta)),
+            se_inflation=float(np.linalg.norm(se)) / ipd_se_norm if ipd_se_norm > 0 else None,
+            beta_hat=tuple(beta), se_hat=tuple(se),
+        ))
     return rows
 
 

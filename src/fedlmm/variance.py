@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ValidationError
-from .estimator import FitResult, require_well_conditioned
+from .estimator import FitResult, Theta, _Kernel, require_beta_length, require_well_conditioned
 from .summaries import FederatedSummarySet
 
 CORRECTIONS = ("cr0", "cr1", "cr1p", "cr1s")
@@ -64,19 +64,13 @@ def correction_factor(correction: str, K: int, N: int, p: int) -> float:
     raise ValidationError(f"unknown correction {correction!r}")
 
 
-def cr0(summaries: FederatedSummarySet, fit: FitResult) -> RobustVariance:
-    """CR0 sandwich from the per-site weights cached in the fit."""
-    cache = fit.per_site_weights
-    if not cache or "W" not in cache or "Q" not in cache:
-        raise ValidationError("fit carries no cached per-site weights")
-    W = cache["W"]
-    Q = cache["Q"]
-    if W.shape[0] != summaries.K or W.shape[1] != summaries.p:
-        raise ValidationError("cached weights do not match the summary set")
-    beta = fit.theta_hat.beta
+def cr0(summaries: FederatedSummarySet, theta: Theta) -> RobustVariance:
+    """CR0 sandwich at theta, from the per-site weights W_k and Q_k of the summaries."""
+    require_beta_length(theta, summaries)
+    W, Q = _Kernel(summaries).per_site_weights(theta.sigma2, theta.tau2)
     bread_inv = W.sum(axis=0)
     require_well_conditioned(bread_inv, "sandwich bread")
-    G = Q - W @ beta  # (K, p) stack of per-site score contributions
+    G = Q - W @ theta.beta  # (K, p) stack of per-site score contributions
     meat = G.T @ G
     half = np.linalg.solve(bread_inv, meat)
     V = np.linalg.solve(bread_inv, half.T).T
@@ -105,9 +99,9 @@ def wald_ci(
     if use_t:
         if v.K < 2:
             raise ValidationError("t quantile needs K >= 2")
-        q = stats.t.ppf(1.0 - alpha / 2.0, df=v.K - 1)
+        q = special.stdtrit(v.K - 1, 1.0 - alpha / 2.0)
     else:
-        q = stats.norm.ppf(1.0 - alpha / 2.0)
+        q = special.ndtri(1.0 - alpha / 2.0)
     beta = fit.theta_hat.beta
     se = v.se
     return np.column_stack([beta - q * se, beta + q * se])

@@ -21,7 +21,6 @@ from fedlmm import (
     compute_summary,
     cr0,
     enumerate_reconstructions,
-    evaluate_fit,
     hamming_sorted,
     loglik_ml,
     loglik_reml,
@@ -127,8 +126,7 @@ def test_criterion_2_sandwich_equivalence(instances):
         sigma2 = float(rng.uniform(0.3, 2.5))
         tau2 = float(rng.uniform(0.0, 1.5))
         beta, _, _ = profile_beta(sigma2, tau2, summ)
-        fit = evaluate_fit(summ, Theta(beta=beta, sigma2=sigma2, tau2=tau2))
-        got = cr0(summ, fit).V
+        got = cr0(summ, Theta(beta=beta, sigma2=sigma2, tau2=tau2)).V
         want = dense_cr0_sandwich(beta, sigma2, tau2, sites)
         scale = 1.0 + np.abs(want).max()
         worst = max(worst, float(np.abs(got - want).max() / scale))

@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedlmm
 from fedlmm import load_summary
 from fedlmm.cli import _read_csv_columns, end_to_end, main, write_bundle_csv
 from fedlmm.summaries import SiteData, compute_summary
@@ -430,6 +435,22 @@ class TestEndToEnd:
         for fa, fb in zip(a["private"], b["private"]):
             assert open(fa, "rb").read() == open(fb, "rb").read()
 
+    @pytest.mark.parametrize("stage, options, report_sha, coef_sha", [
+        ("private", ["--method", "ml", "--correction", "cr1"],
+         "8b0210c03e28e06b9c1af8156e97350fd675c16f695cf7ff9afa23f981536fc4",
+         "9cc569fa85251e1b6f11c2fa746835adba98bcedccd7331feeb3216572fffec5"),
+        ("summaries", ["--method", "reml", "--correction", "cr1s", "--use-t", "--level", "0.9"],
+         "ae9600356505bcabaca81df9313157a8a59c94ecc478911aa410c91d945dc111",
+         "c9793b018d555fe774c312f486497b88999b75248ff42624333138ee2ffb6450"),
+    ], ids=["private-ml-cr1", "summaries-reml-cr1s"])
+    def test_fit_golden_bytes(self, tmp_path, stage, options, report_sha, coef_sha):
+        """Report and coefficient bytes (V, se, ci) of fits on the seed-7 pipeline's summaries."""
+        files = end_to_end(tmp_path / "pipe", seed=7)[stage]
+        report, coef = tmp_path / "fit.json", tmp_path / "coef.csv"
+        assert run(["fit", *files, *options, "--out", str(report), "--coef-csv", str(coef)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256(coef.read_bytes()).hexdigest() == coef_sha
+
     def test_weak_noise_pipeline_close_to_plain(self, tmp_path):
         artifacts = end_to_end(tmp_path / "weak", seed=7, epsilon0=20.0)
         dp = json.loads(artifacts["fit_dp"].read_text())
@@ -444,3 +465,12 @@ class TestEndToEnd:
                   "--covariates", "x1,x2,x3", "--site-col", "site", "--out", "rel_sums"])
         assert rc == 0
         assert (tmp_path / "rel_sums" / "clinic0.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(fedlmm.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fedlmm.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

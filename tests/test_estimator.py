@@ -222,8 +222,7 @@ class TestFitML:
         sites = simulation.generate(scenario, seed=11)
         fit = fit_ml(_summaries(sites))
         assert fit.converged
-        beta0 = np.asarray(scenario.beta0)
-        assert np.linalg.norm(fit.theta_hat.beta - beta0) < 0.2
+        assert np.linalg.norm(fit.theta_hat.beta - scenario.beta0_analysis) < 0.2
         assert abs(fit.theta_hat.sigma2 - 1.0) < 0.25
         assert abs(fit.theta_hat.tau2 - 1.0) < 0.5
 

@@ -3,6 +3,7 @@ import pytest
 
 from fedlmm import MetricRow, Scenario, ValidationError, generate
 from fedlmm.simulation import (
+    _SIGMA2,
     draw_site_sizes,
     one_replicate,
     privacy_cost_slope,
@@ -39,9 +40,9 @@ class TestGenerate:
         # with tau2 = 0, sqrt(n_k) * mean residual per site is N(0, sigma2)
         scenario = Scenario(name="flat", K=10_000, tau2=0.0)
         sites = generate(scenario, 9)
-        beta = np.asarray(scenario.beta0)
+        beta = scenario.beta0_analysis
         z = np.array([np.sqrt(s.n) * (s.y - s.X @ beta).mean() for s in sites])
-        assert z.var() == pytest.approx(scenario.sigma2, rel=0.05)
+        assert z.var() == pytest.approx(_SIGMA2, rel=0.05)
 
     def test_covariate_laws(self):
         scenario = Scenario(name="s", K=400)

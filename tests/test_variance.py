@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from fedlmm import (
     SingularDesignError,
     SiteData,
     Theta,
+    RobustVariance,
     ValidationError,
     apply_correction,
     compute_summary,
     cr0,
-    evaluate_fit,
     fit_ml,
     merge_summaries,
     profile_beta,
@@ -33,8 +35,7 @@ class TestCR0:
                 sigma2 = float(rng.uniform(0.4, 2.0))
                 tau2 = float(rng.uniform(0.0, 1.2))
                 beta = dense_gls_beta(sigma2, tau2, sites)
-                fit = evaluate_fit(summ, Theta(beta=beta, sigma2=sigma2, tau2=tau2))
-                got = cr0(summ, fit).V
+                got = cr0(summ, Theta(beta=beta, sigma2=sigma2, tau2=tau2)).V
                 want = dense_cr0_sandwich(beta, sigma2, tau2, sites)
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-14)
 
@@ -42,15 +43,14 @@ class TestCR0:
         sites = random_sites(rng, K=1, n_range=(6, 6), p=2)
         summ = _summaries(sites)
         beta, _, _ = profile_beta(1.0, 0.3, summ)
-        fit = evaluate_fit(summ, Theta(beta=beta, sigma2=1.0, tau2=0.3))
-        v = cr0(summ, fit)
+        v = cr0(summ, Theta(beta=beta, sigma2=1.0, tau2=0.3))
         assert np.abs(v.V).max() < 1e-12
 
     def test_symmetry_and_nonnegative_diagonal(self, rng):
         sites = random_sites(rng, K=6)
         summ = _summaries(sites)
         fit = fit_ml(summ)
-        v = cr0(summ, fit)
+        v = cr0(summ, fit.theta_hat)
         assert np.abs(v.V - v.V.T).max() <= 1e-12 * max(np.abs(v.V).max(), 1e-300)
         assert (np.diag(v.V) >= 0).all()
 
@@ -65,23 +65,24 @@ class TestCR0:
             sites.append(SiteData(site_id=f"s{k}", y=y, X=X))
         summ = _summaries(sites)
         fit = fit_ml(summ)
-        robust_se = cr0(summ, fit).se
-        model_se = np.sqrt(np.diag(np.linalg.inv(fit.per_site_weights["W_sum"])))
+        robust_se = cr0(summ, fit.theta_hat).se
+        _, W_sum, _ = profile_beta(fit.theta_hat.sigma2, fit.theta_hat.tau2, summ)
+        model_se = np.sqrt(np.diag(np.linalg.inv(W_sum)))
         np.testing.assert_allclose(robust_se, model_se, rtol=0.10)
 
-    def test_missing_cache_rejected(self, rng):
-        summ = _summaries(random_sites(rng, K=3))
-        fit = fit_ml(summ)
-        fit.per_site_weights = {}
-        with pytest.raises(ValidationError, match="cached"):
-            cr0(summ, fit)
+    def test_beta_length_rejected(self, rng):
+        summ = _summaries(random_sites(rng, K=3, p=2))
+        theta = Theta(beta=np.zeros(3), sigma2=1.0, tau2=0.3)
+        with pytest.raises(ValidationError, match="beta has length 3 but summaries have p=2"):
+            cr0(summ, theta)
 
     def test_singular_bread(self, rng):
-        summ = _summaries(random_sites(rng, K=3, p=2))
-        fit = fit_ml(summ)
-        fit.per_site_weights["W"] = np.zeros_like(fit.per_site_weights["W"])
+        sites = random_sites(rng, K=3, p=2)
+        sites = [SiteData(site_id=s.site_id, y=s.y, X=np.column_stack([s.X, np.zeros(s.n)]))
+                 for s in sites]
+        theta = Theta(beta=np.zeros(3), sigma2=1.0, tau2=0.3)
         with pytest.raises(SingularDesignError, match="sandwich bread is numerically") as err:
-            cr0(summ, fit)
+            cr0(_summaries(sites), theta)
         assert err.value.condition_number == np.inf
 
 
@@ -104,7 +105,7 @@ class TestCorrections:
         sites = random_sites(rng, K=9, p=3)
         summ = _summaries(sites)
         fit = fit_ml(summ)
-        v0 = cr0(summ, fit)
+        v0 = cr0(summ, fit.theta_hat)
         v1 = apply_correction(v0, "cr1")
         v1p = apply_correction(v0, "cr1p")
         assert (np.diag(v1p.V) >= np.diag(v1.V) - 1e-15).all()
@@ -113,7 +114,7 @@ class TestCorrections:
     def test_cr0_identity(self, rng):
         summ = _summaries(random_sites(rng, K=4))
         fit = fit_ml(summ)
-        v = cr0(summ, fit)
+        v = cr0(summ, fit.theta_hat)
         np.testing.assert_array_equal(apply_correction(v, "cr0").V, v.V)
 
 
@@ -121,7 +122,7 @@ class TestWaldCI:
     def _fit_v(self, rng):
         summ = _summaries(random_sites(rng, K=8))
         fit = fit_ml(summ)
-        return fit, cr0(summ, fit)
+        return fit, cr0(summ, fit.theta_hat)
 
     def test_normal_quantile(self, rng):
         fit, v = self._fit_v(rng)
@@ -140,6 +141,14 @@ class TestWaldCI:
         fit, v = self._fit_v(rng)
         with pytest.raises(ValidationError):
             wald_ci(fit, v, level=1.0)
+
+    @pytest.mark.parametrize("use_t, want", [(False, 1.959963984540054), (True, 2.364624251592784)])
+    def test_quantile_values(self, rng, use_t, want):
+        fit, v = self._fit_v(rng)  # K = 8: t with 7 degrees of freedom
+        origin = replace(fit, theta_hat=replace(fit.theta_hat, beta=np.zeros_like(fit.theta_hat.beta)))
+        unit = RobustVariance(V=np.eye(len(v.V)), correction="cr0", K=v.K, N=v.N)
+        ci = wald_ci(origin, unit, level=0.95, use_t=use_t)
+        assert (ci[:, 1] == want).all() and (ci[:, 0] == -want).all()
 
     def test_t_quantile_wider(self, rng):
         fit, v = self._fit_v(rng)
