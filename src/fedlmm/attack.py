@@ -18,15 +18,18 @@ falls back to the count vector with the smallest total L1 deviation from
 the clamped constraints, so element-level accuracy is always defined.
 That repair is a branch-and-bound over the same pattern order: a greedy
 incumbent, counts tried in descending order under a diagonal cap, and an
-L1 lower bound at every node.  It keeps its residual as plain Python ints
-over the upper-triangle slots, because numpy's per-call overhead on at
-most 45 entries would dominate each node.  Both searches recurse once per
+L1 lower bound at every node.  Both searches read the Gram through one
+table of upper-triangle slots (j <= k).  The exact search does numpy
+operations per node on an int64 slot vector; the repair keeps plain
+Python ints, because numpy's per-call overhead on at most 45 entries
+would dominate each of its nodes.  Both searches recurse once per
 pattern, so recursion depth caps p at 9.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -52,9 +55,15 @@ class FeasibilityInstance:
         g = np.asarray(self.gram)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("gram must be square")
-        g = (g if np.issubdtype(g.dtype, np.integer) else np.rint(g)).astype(np.int64)
+        if not np.issubdtype(g.dtype, np.integer):
+            if not np.isfinite(g).all():
+                raise ValidationError("gram entries must be finite")
+            g = np.rint(g)
+        g = g.astype(np.int64)
         if not np.array_equal(g, g.T):
             raise ValidationError("gram must be symmetric")
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValidationError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
         g.setflags(write=False)
@@ -85,29 +94,34 @@ def _patterns(p: int) -> np.ndarray:
 
 
 class _Search:
-    """Shared state for the exact and repair depth-first searches."""
+    """The slot table shared by the exact and repair depth-first searches.
 
-    def __init__(self, gram: np.ndarray, n: int, deadline: float):
+    Per pattern: the upper-triangle slots it covers, and its diagonal
+    slots.  Per level: the slots some pattern from there on covers, and
+    the rest.
+    """
+
+    def __init__(self, p: int, n: int, deadline: float):
         self.n = n
-        self.p = gram.shape[0]
-        self.patterns = _patterns(self.p)
-        self.R = gram.astype(np.int64).copy()
+        self.patterns = _patterns(p)
         self.deadline = deadline
         self.nodes = 0
-        # Per pattern: index arrays of the symmetric entries it covers; per
-        # level: entries no longer coverable.
-        self.cover_idx: list[tuple[np.ndarray, np.ndarray]] = []
+        iu, ju = self.triu = np.triu_indices(p)
+        slot = {jk: s for s, jk in enumerate(zip(iu.tolist(), ju.tolist()))}
+        self.cover: list[tuple[int, ...]] = []
+        self.diag: list[tuple[int, ...]] = []
         for u in self.patterns:
-            sup = np.flatnonzero(u)
-            rows = np.repeat(sup, sup.size)
-            cols = np.tile(sup, sup.size)
-            self.cover_idx.append((rows, cols))
-        covered = np.zeros((len(self.patterns) + 1, self.p, self.p), dtype=bool)
-        for idx in range(len(self.patterns) - 1, -1, -1):
-            covered[idx] = covered[idx + 1]
-            rows, cols = self.cover_idx[idx]
-            covered[idx, rows, cols] = True
-        self.uncovered_from = ~covered
+            sup = np.flatnonzero(u).tolist()
+            self.cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
+            self.diag.append(tuple(slot[j, j] for j in sup))
+        n_pat, n_slot = len(self.patterns), len(slot)
+        self.covered_from = [()] * (n_pat + 1)
+        self.uncovered_from = [tuple(range(n_slot))] * (n_pat + 1)
+        covered: set[int] = set()
+        for idx in range(n_pat - 1, -1, -1):
+            covered.update(self.cover[idx])
+            self.covered_from[idx] = tuple(sorted(covered))
+            self.uncovered_from[idx] = tuple(s for s in range(n_slot) if s not in covered)
 
     def _tick(self):
         self.nodes += 1
@@ -116,33 +130,35 @@ class _Search:
 
     # -- exact feasibility -------------------------------------------------
 
-    def enumerate_exact(self, limit: int | None) -> list[np.ndarray]:
-        """DFS for count vectors reproducing the Gram exactly, up to ``limit``.
+    def enumerate_exact(self, gram: np.ndarray, limit: int | None) -> list[np.ndarray]:
+        """DFS for count vectors reproducing ``gram`` exactly, up to ``limit``.
 
         Each solution is the per-pattern count vector over the nonzero
         patterns; the zero pattern absorbs the remaining n - sum(c) rows.
         """
         sols: list[np.ndarray] = []
         counts = np.zeros(len(self.patterns), dtype=np.int64)
+        R = gram[self.triu].astype(np.int64)
+        cover = [np.array(slots, dtype=np.intp) for slots in self.cover]
+        uncovered_from = [np.array(slots, dtype=np.intp) for slots in self.uncovered_from]
 
         def rec(idx: int, n_rem: int) -> bool:
             self._tick()
-            # Entries no pattern from idx onward can still reach must be 0.
-            if np.any(self.R[self.uncovered_from[idx]] != 0):
+            # Slots no pattern from idx onward can still reach must be 0.
+            if R[uncovered_from[idx]].any():
                 return True
             if idx == len(self.patterns):
                 sols.append(counts.copy())
                 return limit is None or len(sols) < limit
-            rows, cols = self.cover_idx[idx]
-            budget = self.R[rows, cols]
-            c_max = min(n_rem, int(budget.min()))
+            slots = cover[idx]
+            c_max = min(n_rem, int(R[slots].min()))
             for c in range(c_max, -1, -1):
                 if c:
-                    self.R[rows, cols] -= c
+                    R[slots] -= c
                 counts[idx] = c
                 keep_going = rec(idx + 1, n_rem - c)
                 if c:
-                    self.R[rows, cols] += c
+                    R[slots] += c
                 counts[idx] = 0
                 if not keep_going:
                     return False
@@ -153,31 +169,16 @@ class _Search:
 
     # -- minimum-violation repair -------------------------------------------
 
-    def repair(self) -> tuple[np.ndarray, int]:
-        """Count vector minimizing total L1 deviation over the constraints.
+    def repair(self, gram: np.ndarray) -> tuple[np.ndarray, int]:
+        """Count vector minimizing total L1 deviation from ``gram``'s slots.
 
-        The residual is a flat list of plain ints, one per upper-triangle
-        slot (j <= k); each pattern subtracts its count from the slots it
-        covers.
+        The residual is a flat list of plain ints, one per slot; each
+        pattern subtracts its count from the slots it covers.
         """
         n_pat = len(self.patterns)
-        iu, ju = np.triu_indices(self.p)
-        slot = {jk: s for s, jk in enumerate(zip(iu.tolist(), ju.tolist()))}
-        R = self.R[iu, ju].tolist()
-        cover: list[tuple[int, ...]] = []
-        diag: list[tuple[int, ...]] = []
-        for u in self.patterns:
-            sup = np.flatnonzero(u).tolist()
-            cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
-            diag.append(tuple(slot[j, j] for j in sup))
-        # Per level: slots a pattern from idx onward still covers, and the rest.
-        covered_from = [()] * (n_pat + 1)
-        uncovered_from = [tuple(range(len(R)))] * (n_pat + 1)
-        covered: set[int] = set()
-        for idx in range(n_pat - 1, -1, -1):
-            covered.update(cover[idx])
-            covered_from[idx] = tuple(sorted(covered))
-            uncovered_from[idx] = tuple(s for s in range(len(R)) if s not in covered)
+        cover, diag = self.cover, self.diag
+        covered_from, uncovered_from = self.covered_from, self.uncovered_from
+        R = gram[self.triu].tolist()
 
         # Greedy incumbent: exact-style caps all the way down.
         G = R.copy()
@@ -245,7 +246,7 @@ def _start_search(instance: FeasibilityInstance, timeout_s: float) -> _Search:
         raise ValidationError(f"timeout must be a positive number of seconds, got {timeout_s!r}")
     if instance.p > _P_MAX:
         raise CapacityError(f"p={instance.p} exceeds the solver's capacity p <= {_P_MAX}")
-    return _Search(instance.gram, instance.n, time.monotonic() + timeout_s)
+    return _Search(instance.p, instance.n, time.monotonic() + timeout_s)
 
 
 def enumerate_reconstructions(
@@ -257,7 +258,7 @@ def enumerate_reconstructions(
     SolverTimeoutError once the search runs past ``timeout_s`` seconds.
     """
     search = _start_search(instance, timeout_s)
-    sols = search.enumerate_exact(limit=None)
+    sols = search.enumerate_exact(instance.gram, limit=None)
     return [_counts_to_matrix(c, search.patterns, instance.n) for c in sols]
 
 
@@ -274,12 +275,11 @@ def reconstruct(instance: FeasibilityInstance, timeout_s: float = 10.0) -> Attac
     n = instance.n
     search = _start_search(instance, timeout_s)
     try:
-        sols = search.enumerate_exact(limit=2)
+        sols = search.enumerate_exact(instance.gram, limit=2)
         if sols:
             status = "unique" if len(sols) == 1 else "feasible-multiple"
             return AttackResult(status, _counts_to_matrix(sols[0], search.patterns, n), violation=0)
-        search.R = clamp_gram(instance.gram, n)  # the repair reuses the pattern tables
-        counts, _ = search.repair()
+        counts, _ = search.repair(clamp_gram(instance.gram, n))
     except SolverTimeoutError:
         return AttackResult(status="failed")
     X_hat = _counts_to_matrix(counts, search.patterns, n)

@@ -26,7 +26,6 @@ from .privacy import calibrate, privatize
 from .simulation import (
     Scenario,
     run_estimation_study,
-    run_reconstruction_cell,
     run_reconstruction_study,
     write_metric_rows,
     write_rate_rows,
@@ -243,7 +242,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-# -- attack ---------------------------------------------------------------------
+# -- simulate-reconstruction (alias: attack) ------------------------------------
 
 
 _RATE_FIELDS = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "failed")
@@ -260,31 +259,19 @@ def _epsilon0_level(token: str) -> float | None:
         raise ValidationError(f'epsilon0 must be a number or "ref", got {token!r}') from None
 
 
-def _write_rates(rows: list[dict], out: str) -> int:
-    """Write reconstruction rate rows, the no-noise reference level as "ref"."""
-    for row in rows:
-        row["epsilon0"] = "ref" if row["epsilon0"] is None else row["epsilon0"]
-    target = _out_path(out)
-    write_rate_rows(rows, target, _RATE_FIELDS)
-    print(target)
-    return 0
-
-
-def cmd_attack(args) -> int:
-    row = run_reconstruction_cell(
-        n=args.n, p=args.p, epsilon0=_epsilon0_level(args.epsilon0), reps=args.reps,
-        seed=args.seed, delta=args.delta, timeout_s=args.timeout,
-    )
-    return _write_rates([row], args.out)
-
-
 def cmd_simulate_reconstruction(args) -> int:
     rows = run_reconstruction_study(
         n_values=_split_ints(args.n), p_values=_split_ints(args.p),
         epsilon0_values=[_epsilon0_level(t) for t in args.epsilon0.split(",") if t.strip()],
         reps=args.reps, seed=args.seed, delta=args.delta, timeout_s=args.timeout,
     )
-    return _write_rates(rows, args.out)
+    for row in rows:
+        if row["epsilon0"] is None:  # the no-noise reference level
+            row["epsilon0"] = "ref"
+    target = _out_path(args.out)
+    write_rate_rows(rows, target, _RATE_FIELDS)
+    print(target)
+    return 0
 
 
 # -- simulate-estimation ---------------------------------------------------------
@@ -433,17 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("attack", help="reconstruction rates for one (n, p) cell")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--epsilon0", default="ref", help='privacy level; "ref" (default) = no noise')
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=10.0, help="per-solve seconds")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attack)
-
     p = sub.add_parser("simulate-estimation", help="replicated estimation study")
     p.add_argument("--scenario", required=True,
                    choices=["ri-correct", "ri-mis", "ris-correct", "ris-mis"])
@@ -457,14 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate_estimation)
 
-    p = sub.add_parser("simulate-reconstruction", help="attack rates over (n, p, epsilon0) grids")
+    p = sub.add_parser("simulate-reconstruction", aliases=["attack"],
+                       help="attack rates over (n, p, epsilon0) grids; attack is an alias")
     p.add_argument("--n", required=True, help="comma-separated row counts")
     p.add_argument("--p", required=True, help="comma-separated dimensions")
-    p.add_argument("--epsilon0", required=True, help='comma-separated levels; "ref" = no noise')
+    p.add_argument("--epsilon0", default="ref",
+                   help='comma-separated levels; "ref" (default) = no noise')
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=float, default=10.0, help="per-solve seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate_reconstruction)
 

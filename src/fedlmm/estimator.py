@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import SingularDesignError, ValidationError
 from .summaries import FederatedSummarySet
@@ -325,6 +324,8 @@ class _SearchSpace:
 
 
 def _minimize_nm(fun, x0: np.ndarray):
+    from scipy import optimize  # imported on first use, to keep `import fedlmm` light
+
     return optimize.minimize(
         fun,
         x0,
@@ -362,6 +363,8 @@ def _profiled_search(
     Brent refinements, and a fit whose budget runs out is not converged.
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
+    from scipy import optimize  # imported on first use, to keep `import fedlmm` light
+
     gammas = np.concatenate(([0.0], np.exp(_LOG_GAMMA)))
     try:
         grid, grid_quad = kernel.grid_deviance(gammas, reml)

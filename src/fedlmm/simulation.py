@@ -200,7 +200,7 @@ def one_replicate(
 
     def all_failed():
         out = [row("ipd", None, failed=True)] if "ipd" in arms else []
-        return out + [row(arm, eps, failed=True) for arm, _, eps in private]
+        return out + [row(arm, float(eps), failed=True) for arm, _, eps in private]
 
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[int(seed), int(replicate), 0])

@@ -3,7 +3,8 @@
 Each test covers one numbered acceptance criterion and prints a PASS line
 (visible with ``pytest -s``).  The replicated studies are session fixtures
 shared across criteria 6-8; their wall time is charged against the
-criterion with the matching budget.
+criterion with the matching budget.  Those three criteria carry the
+``slow`` marker, so ``pytest -m "not slow"`` runs everything else.
 """
 
 import itertools
@@ -210,6 +211,7 @@ def test_criterion_5_reconstruction_trend():
                f"eps0=20,12,8,4,2 at {reps} reps in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_privacy_cost_scaling(study_k, study_eps):
     # Rare wild fits (interior, sometimes nominally converged; the same
     # tail criterion 7 depends on) dominate a finite-sample mean of
@@ -245,6 +247,7 @@ def test_criterion_6_privacy_cost_scaling(study_k, study_eps):
                f"{slope_med:.3f} on full-grid medians; study {k_elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_se_calibration(study_eps):
     rows, elapsed = study_eps
     table = se_calibration(rows)
@@ -263,6 +266,7 @@ def test_criterion_7_se_calibration(study_eps):
                f"{blowup:.1f} at eps0=2 (>100); study {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_consistency_normality(study_k):
     rows_by_k, _ = study_k
     t0 = time.perf_counter()

@@ -76,6 +76,20 @@ class TestReconstruct:
                     truth = np.array(next(iter(mats)))
                     assert hamming_sorted(result.X_hat, truth) == 0
 
+    def test_feasible_multiple_returns_one_design_of_the_fiber(self):
+        # Up to 4 x 3 this is the only Gram with more than one design (up to row order).
+        gram = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+        fiber = gram_fibers(4, 3)[tuple(gram.ravel())]
+        assert len(fiber) == 2
+        instance = FeasibilityInstance(gram=gram, n=4)
+        result = reconstruct(instance)
+        assert result.status == "feasible-multiple"
+        assert result.violation == 0
+        G = result.X_hat.astype(np.int64)
+        assert np.array_equal(G.T @ G, gram)
+        assert _row_multiset(result.X_hat) in fiber
+        assert {_row_multiset(s) for s in enumerate_reconstructions(instance)} == fiber
+
     def test_min_violation_repair_matches_brute_force(self):
         # Every symmetric integer 2 x 2 Gram with entries in [-1, n + 1], n <= 2.
         def triu_l1(X, gram):
@@ -159,6 +173,21 @@ class TestReconstruct:
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
             FeasibilityInstance(gram=np.array([[1, 2], [0, 1]]), n=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        gram = np.array([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(ValidationError, match="finite"):
+            FeasibilityInstance(gram=gram, n=3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="integer"):
+            FeasibilityInstance(gram=np.eye(2, dtype=int), n=n)
+
+    def test_numpy_integer_n_accepted(self):
+        result = reconstruct(FeasibilityInstance(gram=np.eye(2, dtype=int), n=np.int64(3)))
+        assert result.status == "unique" and result.X_hat.shape == (3, 2)
 
 
 class TestHammingSorted:

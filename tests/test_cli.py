@@ -406,6 +406,22 @@ class TestSimulateCommands:
         assert len(rows) == 4
         assert {r["epsilon0"] for r in rows} == {"ref", "8.0"}
 
+    def test_attack_is_an_alias(self, tmp_path):
+        argv = ["--n", "2,3", "--p", "2", "--epsilon0", "ref,8", "--reps", "5", "--seed", "3"]
+        a, b = tmp_path / "attack.csv", tmp_path / "simulate.csv"
+        assert run(["attack", *argv, "--out", str(a)]) == 0
+        assert run(["simulate-reconstruction", *argv, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(list(csv.DictReader(open(a)))) == 4
+
+    def test_reconstruction_defaults_to_reference_level(self, tmp_path):
+        a, b = tmp_path / "default.csv", tmp_path / "ref.csv"
+        argv = ["simulate-reconstruction", "--n", "3", "--p", "2", "--reps", "5"]
+        assert run([*argv, "--out", str(a)]) == 0
+        assert run([*argv, "--epsilon0", "ref", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert next(csv.DictReader(open(a)))["epsilon0"] == "ref"
+
     @pytest.mark.parametrize("command, level", [
         ("attack", "abc"), ("simulate-reconstruction", "ref,abc"),
     ])
@@ -469,8 +485,6 @@ class TestEndToEnd:
 
 def test_cli_import_leaves_out_scipy_stats():
     env = dict(os.environ, PYTHONPATH=str(Path(fedlmm.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, fedlmm.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    code = "import sys, fedlmm.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[False, False]"

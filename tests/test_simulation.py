@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedlmm import MetricRow, Scenario, ValidationError, generate
+from fedlmm import MetricRow, Scenario, SingularDesignError, ValidationError, generate
+from fedlmm import simulation
 from fedlmm.simulation import (
     _SIGMA2,
     draw_site_sizes,
@@ -95,6 +96,19 @@ class TestEstimationStudy:
         scattered.sort(key=lambda r: (r.replicate, r.arm, r.epsilon0 or -1))
         rows_sorted = sorted(rows_a, key=lambda r: (r.replicate, r.arm, r.epsilon0 or -1))
         assert scattered == rows_sorted
+
+    def test_failed_ipd_fit_fails_every_arm_in_order(self, monkeypatch):
+        def singular(summaries):
+            raise SingularDesignError("singular pooled design")
+
+        monkeypatch.setattr(simulation, "fit_ml", singular)
+        scenario = Scenario.from_name("ri-correct", K=6)
+        rows = one_replicate(scenario, [8, 2], seed=4, replicate=1)
+        assert [(r.arm, r.epsilon0) for r in rows] == [
+            ("ipd", None), ("dp", 8.0), ("dp", 2.0), ("dp2", 8.0), ("dp2", 2.0),
+        ]
+        assert all(type(r.epsilon0) is float for r in rows[1:])
+        assert all(r.failed and r.replicate == 1 and r.beta_hat is None for r in rows)
 
     def test_workers_match_serial(self):
         scenario = Scenario.from_name("ri-correct", K=8)
