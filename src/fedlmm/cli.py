@@ -24,11 +24,13 @@ from .errors import CapacityError, FedLMMError, SingularDesignError, ValidationE
 from .estimator import fit_ml, fit_reml
 from .privacy import calibrate, privatize
 from .simulation import (
+    ARMS,
+    METRIC_FIELDS,
+    SCENARIOS,
     Scenario,
     run_estimation_study,
     run_reconstruction_study,
-    write_metric_rows,
-    write_rate_rows,
+    write_rows,
 )
 from .summaries import (
     SiteData,
@@ -269,7 +271,7 @@ def cmd_simulate_reconstruction(args) -> int:
         if row["epsilon0"] is None:  # the no-noise reference level
             row["epsilon0"] = "ref"
     target = _out_path(args.out)
-    write_rate_rows(rows, target, _RATE_FIELDS)
+    write_rows(rows, target, _RATE_FIELDS)
     print(target)
     return 0
 
@@ -293,7 +295,7 @@ def cmd_simulate_estimation(args) -> int:
             )
         )
     target = _out_path(args.out)
-    write_metric_rows(rows, target)
+    write_rows(map(vars, rows), target, METRIC_FIELDS)
     print(target)
     return 0
 
@@ -421,14 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate-estimation", help="replicated estimation study")
-    p.add_argument("--scenario", required=True,
-                   choices=["ri-correct", "ri-mis", "ris-correct", "ris-mis"])
+    p.add_argument("--scenario", required=True, choices=list(SCENARIOS))
     p.add_argument("--K", required=True, help="comma-separated site counts")
     p.add_argument("--epsilon0", required=True, help="comma-separated privacy levels")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--correction", choices=list(CORRECTIONS), default="cr0")
-    p.add_argument("--arms", default="ipd,dp,dp2")
+    p.add_argument("--arms", default=",".join(ARMS))
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate_estimation)

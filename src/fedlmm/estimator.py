@@ -57,10 +57,7 @@ class Theta:
         beta = np.asarray(self.beta, dtype=float).reshape(-1)
         if beta.size < 1 or not np.isfinite(beta).all():
             raise ValidationError("beta must be a finite vector")
-        if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
-            raise ValidationError("sigma2 must be positive")
-        if not (self.tau2 >= 0 and np.isfinite(self.tau2)):
-            raise ValidationError("tau2 must be nonnegative")
+        _check_theta_domain(self.sigma2, self.tau2)
         object.__setattr__(self, "beta", beta)
 
 

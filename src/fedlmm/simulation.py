@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,17 @@ from .privacy import calibrate, privatize
 from .summaries import SiteData, compute_summary, merge_summaries, standardize
 from .variance import apply_correction, cr0
 
-ARMS = ("ipd", "dp", "dp2")
+# The study arms in row order.  Each has the noise-stream index j of its
+# release seeds and the design columns its release perturbs, as given to
+# ``privatize`` (the empty set: every entry), or None for the exact
+# summaries.  The first arm is the no-noise reference.
+_ARM_TABLE = {
+    "ipd": (None, lambda scenario: None),
+    "dp": (0, lambda scenario: frozenset()),
+    # the sensitive closure; the exact summaries when no analysis column is sensitive
+    "dp2": (1, lambda scenario: scenario.sensitive_design_blocks or None),
+}
+ARMS = tuple(_ARM_TABLE)
 
 _BETA0 = (1.0, 0.5, 0.5, -1.0, -0.5, 1.0, -1.0)
 _SIGMA2 = 1.0
@@ -38,6 +48,15 @@ _LARGE_SIZES = (50, 100)
 _BERNOULLI_P = {1: 0.5, 3: 0.3, 4: 0.7, 5: 0.5}
 _NORMAL_SD = {2: 1.0, 6: 0.5}
 _SENSITIVE_COVARIATES = (4, 5, 6)  # x4, x5, x6 carry the privacy-sensitive values
+
+
+# Named scenarios: (generator, analysis).
+SCENARIOS = {
+    "ri-correct": ("random-intercept", "full"),
+    "ri-mis": ("random-intercept", "underfit"),
+    "ris-correct": ("random-intercept-slope", "full"),
+    "ris-mis": ("random-intercept-slope", "underfit"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,15 +86,9 @@ class Scenario:
 
     @classmethod
     def from_name(cls, name: str, K: int) -> "Scenario":
-        presets = {
-            "ri-correct": ("random-intercept", "full"),
-            "ri-mis": ("random-intercept", "underfit"),
-            "ris-correct": ("random-intercept-slope", "full"),
-            "ris-mis": ("random-intercept-slope", "underfit"),
-        }
-        if name not in presets:
-            raise ValidationError(f"unknown scenario {name!r}; choose from {sorted(presets)}")
-        generator, analysis = presets[name]
+        if name not in SCENARIOS:
+            raise ValidationError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
+        generator, analysis = SCENARIOS[name]
         return cls(name=name, generator=generator, analysis=analysis, K=K)
 
     @property
@@ -166,15 +179,25 @@ def _derived_seed(parts: Sequence[int]) -> int:
     return int(np.random.SeedSequence(entropy=list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _fit_arm(summaries, record):
-    fit = fit_ml(summaries)
-    return fit, record.beta_to_original(fit.theta_hat.beta), cr0(summaries, fit.theta_hat)
+def _estimate(summaries, record, correction: str, perturbs, budget, noise_seed):
+    """(converged, beta, SEs) on the original scale of a fit to one release of ``summaries``.
 
-
-def _original_se(v, record, correction: str) -> np.ndarray:
-    """Per-coefficient SEs of the corrected sandwich on the original covariate scale."""
+    ``perturbs`` is the release: None for the exact summaries, else the
+    ``privatize`` column set.  None when the release or the fit fails; a
+    correction the data cannot take raises.
+    """
+    try:
+        if perturbs is not None:
+            summaries = merge_summaries(
+                [privatize(s, budget, sensitive=perturbs, rng_seed=noise_seed) for s in summaries]
+            )
+        fit = fit_ml(summaries)
+        v = cr0(summaries, fit.theta_hat)
+    except (FedLMMError, np.linalg.LinAlgError):
+        return None
     V = record.variance_to_original(apply_correction(v, correction).V)
-    return np.sqrt(np.clip(np.diag(V), 0.0, None))
+    se = np.sqrt(np.clip(np.diag(V), 0.0, None))
+    return fit.converged, record.beta_to_original(fit.theta_hat.beta), se
 
 
 def one_replicate(
@@ -185,23 +208,18 @@ def one_replicate(
     correction: str = "cr0",
     arms: Sequence[str] = ARMS,
 ) -> list[MetricRow]:
-    """All arms of one replicate on common generated data."""
-    private = [
-        (arm, eps_idx, eps)
-        for arm in ("dp", "dp2") if arm in arms
+    """All arms of one replicate on common generated data.
+
+    The reference arm is fitted first, requested or not: every row is
+    measured against it, and a failed data step or reference fit fails
+    every requested row.
+    """
+    reference_arm, *private_arms = ARMS
+    jobs = [(reference_arm, None, None)] + [
+        (arm, eps_idx, float(eps))
+        for arm in private_arms if arm in arms
         for eps_idx, eps in enumerate(epsilon0_grid)
     ]
-
-    def row(arm, eps, **fields):
-        return MetricRow(
-            scenario=scenario.name, arm=arm, epsilon0=eps, K=scenario.K,
-            replicate=replicate, correction=correction, **fields,
-        )
-
-    def all_failed():
-        out = [row("ipd", None, failed=True)] if "ipd" in arms else []
-        return out + [row(arm, float(eps), failed=True) for arm, _, eps in private]
-
     data_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[int(seed), int(replicate), 0])
     )
@@ -210,57 +228,45 @@ def one_replicate(
         sites_std, record = standardize(sites, names=scenario.design_columns)
         summaries = merge_summaries([compute_summary(s) for s in sites_std])
     except FedLMMError:
-        return all_failed()
+        summaries = None
 
-    beta0 = scenario.beta0_analysis
-    try:
-        ipd_fit, ipd_beta, ipd_v = _fit_arm(summaries, record)
-    except (FedLMMError, np.linalg.LinAlgError):
-        return all_failed()
-    ipd_se = _original_se(ipd_v, record, correction)
-    ipd_se_norm = float(np.linalg.norm(ipd_se))
-    ipd_failed = not ipd_fit.converged
-    rows: list[MetricRow] = []
-    if "ipd" in arms:
-        rows.append(row(
-            "ipd", None, failed=ipd_failed, l2_error=float(np.linalg.norm(ipd_beta - beta0)),
-            l2_privacy_cost=0.0, se_inflation=1.0, beta_hat=tuple(ipd_beta), se_hat=tuple(ipd_se),
-        ))
-
-    delta = 1.0 / summaries.N
-    for arm, eps_idx, eps in private:
-        budget = calibrate(float(eps), delta=delta, p=summaries.p)
-        sensitive = frozenset() if arm == "dp" else scenario.sensitive_design_blocks
-        arm_seed = _derived_seed([seed, replicate, 1, ("dp", "dp2").index(arm), eps_idx])
-        try:
-            if arm == "dp2" and not sensitive:
-                # no analysis column is sensitive: the dp2 release adds no noise
-                noisy = summaries
-            else:
-                noisy = merge_summaries(
-                    [privatize(s, budget, sensitive=sensitive, rng_seed=arm_seed) for s in summaries]
-                )
-            fit, beta, v = _fit_arm(noisy, record)
-        except (FedLMMError, np.linalg.LinAlgError):
-            rows.append(row(arm, float(eps), failed=True))
-            continue
-        se = _original_se(v, record, correction)
-        rows.append(row(
-            arm, float(eps), failed=ipd_failed or not fit.converged,
-            l2_error=float(np.linalg.norm(beta - beta0)),
-            l2_privacy_cost=float(np.linalg.norm(beta - ipd_beta)),
-            se_inflation=float(np.linalg.norm(se)) / ipd_se_norm if ipd_se_norm > 0 else None,
-            beta_hat=tuple(beta), se_hat=tuple(se),
-        ))
+    rows, reference = [], None
+    for arm, eps_idx, eps in jobs:
+        estimate = None
+        if summaries is not None and (eps is None or reference is not None):
+            stream, perturbs = _ARM_TABLE[arm]
+            budget = noise_seed = None
+            if eps is not None:
+                budget = calibrate(eps, delta=1.0 / summaries.N, p=summaries.p)
+                noise_seed = _derived_seed([seed, replicate, 1, stream, eps_idx])
+            estimate = _estimate(summaries, record, correction, perturbs(scenario), budget, noise_seed)
+        if eps is None:
+            reference = estimate
+        if arm in arms:
+            rows.append(_metric_row(scenario, arm, eps, replicate, correction, estimate, reference))
     return rows
+
+
+def _metric_row(scenario, arm, eps, replicate, correction, estimate, reference) -> MetricRow:
+    """One arm's row; ``estimate`` and ``reference`` are ``_estimate`` results."""
+    row = dict(scenario=scenario.name, arm=arm, epsilon0=eps, K=scenario.K,
+               replicate=replicate, correction=correction)
+    if estimate is None:
+        return MetricRow(**row, failed=True)
+    (converged, beta, se), (ref_converged, ref_beta, ref_se) = estimate, reference
+    ref_se_norm = float(np.linalg.norm(ref_se))
+    return MetricRow(
+        **row, failed=not (ref_converged and converged),
+        l2_error=float(np.linalg.norm(beta - scenario.beta0_analysis)),
+        l2_privacy_cost=float(np.linalg.norm(beta - ref_beta)),
+        se_inflation=float(np.linalg.norm(se)) / ref_se_norm if ref_se_norm > 0 else None,
+        beta_hat=tuple(beta), se_hat=tuple(se),
+    )
 
 
 def _replicate_batch(args) -> list[MetricRow]:
     scenario, grid, seed, reps, correction, arms = args
-    out = []
-    for r in reps:
-        out.extend(one_replicate(scenario, grid, seed, r, correction, arms))
-    return out
+    return [row for r in reps for row in one_replicate(scenario, grid, seed, r, correction, arms)]
 
 
 def run_estimation_study(
@@ -278,19 +284,17 @@ def run_estimation_study(
     bad = [a for a in arms if a not in ARMS]
     if bad:
         raise ValidationError(f"unknown arms {bad}")
-    indices = list(range(reps))
-    if workers <= 1:
-        rows = _replicate_batch((scenario, tuple(epsilon0_grid), seed, indices, correction, tuple(arms)))
+    batches = min(max(workers, 1), reps)
+    args = [
+        (scenario, tuple(epsilon0_grid), seed, range(i, reps, batches), correction, tuple(arms))
+        for i in range(batches)
+    ]
+    if batches == 1:
+        results = map(_replicate_batch, args)
     else:
-        chunks = [indices[i::workers] for i in range(workers)]
-        args = [
-            (scenario, tuple(epsilon0_grid), seed, chunk, correction, tuple(arms))
-            for chunk in chunks if chunk
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_replicate_batch, args):
-                rows.extend(batch)
+        with ProcessPoolExecutor(max_workers=batches) as pool:
+            results = list(pool.map(_replicate_batch, args))
+    rows = [row for batch in results for row in batch]
     rows.sort(key=lambda r: (r.replicate, ARMS.index(r.arm), r.epsilon0 if r.epsilon0 is not None else -1.0))
     return rows
 
@@ -468,23 +472,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-METRIC_FIELDS = (
-    "scenario", "arm", "epsilon0", "K", "replicate", "failed", "correction",
-    "l2_error", "l2_privacy_cost", "se_inflation", "beta_hat", "se_hat",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(MetricRow))
 
 
-def write_metric_rows(rows: Sequence[MetricRow], path) -> None:
+def write_rows(rows: Iterable[Mapping], path, columns: Sequence[str]) -> None:
+    """CSV with a ``columns`` header and one line per mapping; a missing key is an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRIC_FIELDS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, f)) for f in METRIC_FIELDS])
-
-
-def write_rate_rows(rows: Sequence[dict], path, fields: Sequence[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row.get(f)) for f in fields])
+            writer.writerow([_fmt(row.get(c)) for c in columns])

@@ -434,6 +434,15 @@ class TestSimulateCommands:
         assert err.startswith("error: ") and "'abc'" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_estimation_correction_error_exits_1(self, tmp_path, capsys):
+        # CR1p needs K > p = 7: an input error, not a failed replicate
+        out = tmp_path / "metrics.csv"
+        rc = run(["simulate-estimation", "--scenario", "ri-correct", "--K", "3", "--epsilon0", "2",
+                  "--reps", "2", "--correction", "cr1p", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: CR1p needs K > p")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, p", [("2,0", "2"), ("2", "2,0")])
     def test_reconstruction_empty_design_exits_1(self, tmp_path, capsys, n, p):
         rc = run(["simulate-reconstruction", "--n", n, "--p", p, "--epsilon0", "ref",
@@ -466,6 +475,38 @@ class TestEndToEnd:
         assert run(["fit", *files, *options, "--out", str(report), "--coef-csv", str(coef)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(coef.read_bytes()).hexdigest() == coef_sha
+
+    @pytest.mark.parametrize("options, sha", [
+        ("--scenario ri-correct --K 50 --epsilon0 2,8,16 --arms ipd,dp,dp2 --reps 3 --seed 1",
+         "c142a4ccf8a8a19594d66292076711432eb89d2d20b63dfd87fabbba8d85e19b"),
+        ("--scenario ri-mis --K 20 --epsilon0 4,8 --reps 3 --seed 2",
+         "15a69d182011ee3931945d82f233b4514f9f56b948a7f25806ffe36fecf42a9e"),
+        ("--scenario ris-correct --K 20 --epsilon0 8 --reps 2 --seed 3",
+         "14dcb140e8480b5da836f0cb61e9e9bab8ca030b055df38d24404deb01aeacae"),
+        ("--scenario ris-mis --K 10,20 --epsilon0 2,8 --reps 2 --seed 4",
+         "d1e583c95140ef185ac295f0862bd8205d6de712fc8c54ced71d0063b1e5f38c"),
+        ("--scenario ri-correct --K 20 --epsilon0 4,16 --arms dp2,dp --reps 2 --seed 5",
+         "42b27cd58d5a7d72a946e98a6536fe3ce8eb6bd0c1a1fccb5147c2ac2a4fc2d4"),
+        ("--scenario ri-mis --K 15 --epsilon0 8 --arms dp --reps 2 --seed 3",
+         "311c61a548cfdfbd98557d39185d09249a5a12286c8270f185fe24b8d8b975fe"),
+        ("--scenario ri-correct --K 20 --epsilon0 8 --reps 4 --seed 2 --workers 2",
+         "52d194c03e8abe4f78853d30358a572b35f2c6aa274281238490dc9f9c36b059"),
+        ("--scenario ris-correct --K 15 --epsilon0 8,2 --reps 2 --seed 7 --correction cr1",
+         "17fe5e54694479c2293637c9f685db9caed4e710b3aad78f962399c09abbd6d1"),
+        ("--scenario ri-correct --K 2 --epsilon0 2,8 --reps 6 --seed 6",
+         "5870fcd90c29d4d32c1ccff9592ea46efcf54b0ae80cb5ce24bb2263b5645f1a"),
+        ("--scenario ri-mis --K 1 --epsilon0 8,2 --reps 2 --seed 1",
+         "9abf9cb46be6478368df8c23b83f8cef452134c1e86a6fb6696ac273a9594f13"),
+        ("--scenario ri-correct --K 200 --epsilon0 2,4,8,12,16,20 --arms ipd,dp --reps 1 --seed 0",
+         "c01d879bc74c21e255607fcf6d95b7731cf8af03e58fc5daaf0fa4cede17a7c6"),
+    ], ids=["ri-correct-3-arms", "ri-mis", "ris-correct", "ris-mis-two-K", "arms-dp2-dp",
+            "arms-dp", "workers-2", "correction-cr1", "failed-dp-rows", "every-row-failed",
+            "benchmark-input"])
+    def test_estimation_golden_bytes(self, tmp_path, options, sha):
+        """Metric CSV bytes of simulate-estimation: every scenario, arm subset and failure path."""
+        out = tmp_path / "metrics.csv"
+        assert run(["simulate-estimation", *options.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
     def test_weak_noise_pipeline_close_to_plain(self, tmp_path):
         artifacts = end_to_end(tmp_path / "weak", seed=7, epsilon0=20.0)

@@ -5,13 +5,14 @@ from fedlmm import MetricRow, Scenario, SingularDesignError, ValidationError, ge
 from fedlmm import simulation
 from fedlmm.simulation import (
     _SIGMA2,
+    METRIC_FIELDS,
     draw_site_sizes,
     one_replicate,
     privacy_cost_slope,
     run_estimation_study,
     run_reconstruction_cell,
     se_calibration,
-    write_metric_rows,
+    write_rows,
 )
 
 
@@ -144,7 +145,7 @@ class TestEstimationStudy:
         scenario = Scenario.from_name("ri-correct", K=8)
         rows = run_estimation_study(scenario, [8.0], reps=2, seed=9, arms=("ipd", "dp"))
         out = tmp_path / "metrics.csv"
-        write_metric_rows(rows, out)
+        write_rows(map(vars, rows), out, METRIC_FIELDS)
         text = out.read_text().splitlines()
         assert text[0].startswith("scenario,arm,epsilon0")
         assert len(text) == 1 + len(rows)
