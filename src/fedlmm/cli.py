@@ -185,10 +185,6 @@ def cmd_privatize(args) -> int:
     summary = load_summary(args.infile)
     budget = calibrate(args.epsilon0, delta=args.delta, p=summary.p)
     sensitive = frozenset(_split_ints(args.sensitive))
-    if args.scope == "subset" and not sensitive:
-        raise ValidationError("--scope subset needs --sensitive column indices")
-    if args.scope == "full":
-        sensitive = frozenset()  # every entry is perturbed; --sensitive is ignored
     noisy = privatize(summary, budget, sensitive=sensitive, rng_seed=args.seed)
     target = _out_path(args.out)
     save_summary(noisy, target)
@@ -197,6 +193,9 @@ def cmd_privatize(args) -> int:
 
 
 # -- fit -----------------------------------------------------------------------
+
+
+_COEF_FIELDS = ("coefficient", "estimate", "se", "ci_lo", "ci_hi", "correction")
 
 
 def cmd_fit(args) -> int:
@@ -229,15 +228,9 @@ def cmd_fit(args) -> int:
     print(target)
     if args.coef_csv:
         coef_path = _out_path(args.coef_csv)
-        with open(coef_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["coefficient", "estimate", "se", "ci_lo", "ci_hi", "correction"])
-            beta = fit.theta_hat.beta
-            for j in range(len(beta)):
-                writer.writerow(
-                    [f"b{j}", repr(float(beta[j])), repr(float(v.se[j])),
-                     repr(float(ci[j, 0])), repr(float(ci[j, 1])), v.correction]
-                )
+        rows = [dict(zip(_COEF_FIELDS, (f"b{j}", b, se, lo, hi, v.correction)))
+                for j, (b, se, (lo, hi)) in enumerate(zip(fit.theta_hat.beta, v.se, ci))]
+        write_rows(rows, coef_path, _COEF_FIELDS)
         print(coef_path)
     if not fit.converged:
         print("warning: optimizer did not converge", file=sys.stderr)
@@ -304,6 +297,7 @@ def cmd_simulate_estimation(args) -> int:
 
 
 _BUNDLE_SEED = 715517  # fixed: the bundle itself is part of the interface
+_BUNDLE_FIELDS = ("site", "y", "x1", "x2", "x3")
 
 
 def write_bundle_csv(path: Path) -> Path:
@@ -318,26 +312,25 @@ def write_bundle_csv(path: Path) -> Path:
         x3 = rng.normal(0.0, 1.0, n)
         X = np.column_stack([np.ones(n), x1, x2, x3])
         y = X @ beta + rng.normal(0.0, 0.6) + rng.normal(0.0, 1.0, n)
-        for i in range(n):
-            rows.append((f"clinic{k}", y[i], x1[i], x2[i], x3[i]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site", "y", "x1", "x2", "x3"])
-        for sid, y_i, a, b, c in rows:
-            writer.writerow([sid, repr(float(y_i)), repr(float(a)), repr(float(b)), repr(float(c))])
+        rows += [dict(zip(_BUNDLE_FIELDS, (f"clinic{k}", *c))) for c in zip(y, x1, x2, x3)]
+    write_rows(rows, path, _BUNDLE_FIELDS)
     return path
 
 
 def end_to_end(outdir, seed: int = 7, epsilon0: float = 8.0) -> dict[str, object]:
-    """summarize -> privatize -> fit -> attack on the bundled dataset."""
-    out = Path(outdir)
+    """summarize -> privatize -> fit -> attack on the bundled dataset.
+
+    Each stage runs its command's handler, so a stage's error reaches the
+    caller with its own type.
+    """
+    out = Path(outdir).absolute()  # so that no stage resolves it against $FEDLMM_OUT_DIR again
     out.mkdir(parents=True, exist_ok=True)
     bundle = write_bundle_csv(out / "bundle.csv")
+    parser = build_parser()
 
     def run(argv: list[str]) -> None:
-        rc = main(argv)
-        if rc != 0:
-            raise FedLMMError(f"{argv[0]} stage failed with exit code {rc}")
+        args = parser.parse_args(argv)
+        args.func(args)
 
     run(["summarize", "--csv", str(bundle), "--outcome", "y", "--covariates",
          "x1,x2,x3", "--site-col", "site", "--out", str(out / "summaries")])
@@ -345,7 +338,7 @@ def end_to_end(outdir, seed: int = 7, epsilon0: float = 8.0) -> dict[str, object
     dp_files = [str(out / "private" / Path(f).name) for f in summary_files]
     for f, target in zip(summary_files, dp_files):
         run(["privatize", "--in", f, "--out", target, "--epsilon0", repr(epsilon0),
-             "--delta", "0.01", "--scope", "full", "--seed", str(seed)])
+             "--delta", "0.01", "--seed", str(seed)])
     for name, files in (("dp", dp_files), ("plain", summary_files)):
         run(["fit", *files, "--method", "ml", "--correction", "cr1",
              "--out", str(out / f"fit_{name}.json"), "--coef-csv", str(out / f"coef_{name}.csv")])
@@ -362,7 +355,7 @@ def end_to_end(outdir, seed: int = 7, epsilon0: float = 8.0) -> dict[str, object
 
 
 def cmd_pipeline(args) -> int:
-    artifacts = end_to_end(args.out, seed=args.seed, epsilon0=args.epsilon0)
+    artifacts = end_to_end(_out_path(args.out), seed=args.seed, epsilon0=args.epsilon0)
     for key in sorted(artifacts):
         print(f"{key}: {artifacts[key]}")
     return 0
@@ -406,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--scope", choices=["full", "subset"], default="full")
-    p.add_argument("--sensitive", default="", help="comma-separated design columns (1-based)")
+    p.add_argument("--sensitive", default="",
+                   help="comma-separated design columns (1-based) to perturb; default: every entry")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_privatize)
 

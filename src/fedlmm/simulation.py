@@ -25,7 +25,7 @@ from .errors import FedLMMError, ValidationError
 from .estimator import fit_ml
 from .privacy import calibrate, privatize
 from .summaries import SiteData, compute_summary, merge_summaries, standardize
-from .variance import apply_correction, cr0
+from .variance import apply_correction, correction_factor, cr0
 
 # The study arms in row order.  Each has the noise-stream index j of its
 # release seeds and the design columns its release perturbs, as given to
@@ -284,6 +284,14 @@ def run_estimation_study(
     bad = [a for a in arms if a not in ARMS]
     if bad:
         raise ValidationError(f"unknown arms {bad}")
+    # Refuse here what every replicate would refuse, before a failed
+    # reference fit can hide it: a level calibrate rejects, or a correction
+    # the scenario's K and p cannot take.  N is drawn, so delta = 1/N and
+    # cr1s's N > p are left to each replicate.
+    p = len(scenario.design_columns)
+    for eps in epsilon0_grid:
+        calibrate(float(eps), delta=0.5, p=p)
+    correction_factor(correction, scenario.K, N=p + 1, p=p)
     batches = min(max(workers, 1), reps)
     args = [
         (scenario, tuple(epsilon0_grid), seed, range(i, reps, batches), correction, tuple(arms))

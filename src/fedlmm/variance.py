@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .estimator import FitResult, Theta, _Kernel, require_beta_length, require_well_conditioned
@@ -95,6 +94,8 @@ def wald_ci(
     """
     if not (0.0 < level < 1.0):
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
+    from scipy import special  # imported on first use, to keep `import fedlmm` light
+
     alpha = 1.0 - level
     if use_t:
         if v.K < 2:

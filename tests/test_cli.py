@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fedlmm
-from fedlmm import load_summary
+import fedlmm.estimator
+from fedlmm import calibrate, load_summary, privatize, save_summary
 from fedlmm.cli import _read_csv_columns, end_to_end, main, write_bundle_csv
 from fedlmm.summaries import SiteData, compute_summary
 
@@ -20,6 +21,11 @@ from oracles import dense_gls_beta
 
 def run(args):
     return main(args)
+
+
+def tree(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(Path(root).rglob("*")) if f.is_file()}
 
 
 @pytest.fixture
@@ -244,6 +250,28 @@ class TestFit:
         assert len(rows) == 4
         assert all(r["correction"] == "cr1p" for r in rows)
 
+    def test_all_zero_covariate_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("site,y,x,z\na,1.0,0.5,0\na,2.0,1.5,0\na,0.3,-1.0,0\n"
+                        "b,3.0,1.0,0\nb,-1.25,2.0,0\nb,0.7,0.1,0\nc,1.1,0.4,0\nc,2.2,-0.3,0\n")
+        sums = tmp_path / "sums"
+        assert run(["summarize", "--csv", str(path), "--outcome", "y", "--covariates", "x,z",
+                    "--site-col", "site", "--out", str(sums)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        assert run(["fit", *map(str, sorted(sums.glob("*.json"))), "--out", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: profile objective unusable over the whole search box\n"
+        assert not report.exists()
+
+    def test_nonconvergence_warns_and_exits_0(self, tmp_path, summary_files, capsys, monkeypatch):
+        monkeypatch.setattr(fedlmm.estimator, "_MAX_EVALS", 3)
+        report = tmp_path / "r.json"
+        assert run(["fit", *map(str, summary_files), "--out", str(report)]) == 0
+        assert capsys.readouterr().err == "warning: optimizer did not converge\n"
+        assert json.loads(report.read_text())["fit"]["converged"] is False
+
     def test_tampered_summary_rejected(self, tmp_path, summary_files, capsys):
         obj = json.loads(summary_files[0].read_text())
         obj["S"][1] += 1.0
@@ -305,21 +333,26 @@ class TestPrivatizeCommand:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_subset_needs_sensitive(self, tmp_path, summary_files, capsys):
-        rc = run(["privatize", "--in", str(summary_files[0]), "--out", str(tmp_path / "x.json"),
-                  "--epsilon0", "4", "--delta", "0.01", "--scope", "subset"])
-        assert rc == 1
-        assert "--sensitive" in capsys.readouterr().err
+    @pytest.mark.parametrize("option, sensitive", [
+        ([], frozenset()), (["--sensitive", "2,3"], frozenset({2, 3})),
+    ], ids=["every-entry", "sensitive-2-3"])
+    def test_same_bytes_as_library(self, tmp_path, summary_files, option, sensitive):
+        target, want = tmp_path / "cli.json", tmp_path / "lib.json"
+        rc = run(["privatize", "--in", str(summary_files[0]), "--out", str(target),
+                  "--epsilon0", "4", "--delta", "0.01", "--seed", "5", *option])
+        assert rc == 0
+        summary = load_summary(summary_files[0])
+        budget = calibrate(4.0, delta=0.01, p=summary.p)
+        save_summary(privatize(summary, budget, sensitive=sensitive, rng_seed=5), want)
+        assert target.read_bytes() == want.read_bytes()
 
-    def test_full_scope_ignores_sensitive(self, tmp_path, summary_files):
-        outputs = []
-        for extra in ([], ["--sensitive", "9"]):
-            target = tmp_path / f"dp{len(extra)}.json"
-            rc = run(["privatize", "--in", str(summary_files[0]), "--out", str(target),
-                      "--epsilon0", "4", "--delta", "0.01", "--scope", "full", *extra])
-            assert rc == 0
-            outputs.append(target.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_out_of_range_sensitive_exits_1(self, tmp_path, summary_files, capsys):
+        target = tmp_path / "dp.json"
+        rc = run(["privatize", "--in", str(summary_files[0]), "--out", str(target),
+                  "--epsilon0", "4", "--delta", "0.01", "--sensitive", "9"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: sensitive indices [9] outside 1..4\n"
+        assert not target.exists()
 
     def test_budget_recorded(self, tmp_path, summary_files):
         target = tmp_path / "dp.json"
@@ -443,6 +476,19 @@ class TestSimulateCommands:
         assert capsys.readouterr().err.startswith("error: CR1p needs K > p")
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        ("--scenario ri-mis --K 1 --epsilon0 -5", "error: epsilon must be positive"),
+        ("--scenario ri-correct --K 1 --epsilon0 2 --correction cr1p",
+         "error: CR1p needs K > p (got K=1, p=7)"),
+    ], ids=["bad-level", "bad-correction"])
+    def test_estimation_inputs_checked_before_replicates(self, tmp_path, capsys, options, message):
+        # K = 1 fails every reference fit, which must not hide an input error
+        out = tmp_path / "metrics.csv"
+        rc = run(["simulate-estimation", *options.split(), "--reps", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, p", [("2,0", "2"), ("2", "2,0")])
     def test_reconstruction_empty_design_exits_1(self, tmp_path, capsys, n, p):
         rc = run(["simulate-reconstruction", "--n", n, "--p", p, "--epsilon0", "ref",
@@ -515,6 +561,27 @@ class TestEndToEnd:
         diff = np.linalg.norm(np.array(dp["fit"]["beta"]) - np.array(plain["fit"]["beta"]))
         assert diff < 0.05
 
+    def test_pipeline_command_writes_end_to_end_tree(self, tmp_path):
+        assert run(["pipeline", "--out", str(tmp_path / "cli"), "--seed", "3"]) == 0
+        end_to_end(tmp_path / "lib", seed=3)
+        assert tree(tmp_path / "cli") == tree(tmp_path / "lib")
+        assert len(tree(tmp_path / "cli")) == 16
+
+    def test_pipeline_stage_error_keeps_its_exit_code(self, tmp_path, capsys):
+        assert run(["pipeline", "--out", str(tmp_path / "p"), "--epsilon0", "-1"]) == 1
+        assert capsys.readouterr().err == "error: epsilon must be positive\n"
+
+    @pytest.mark.parametrize("base", ["absolute", "relative"])
+    def test_pipeline_relative_out_under_env(self, tmp_path, monkeypatch, base):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("FEDLMM_OUT_DIR", str(work / "base") if base == "absolute" else "base")
+        assert run(["pipeline", "--out", "rel"]) == 0
+        monkeypatch.delenv("FEDLMM_OUT_DIR")
+        assert run(["pipeline", "--out", str(tmp_path / "abs")]) == 0
+        assert tree(work / "base" / "rel") == tree(tmp_path / "abs")
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDLMM_OUT_DIR", str(tmp_path))
         bundle = write_bundle_csv(tmp_path / "bundle.csv")
@@ -526,6 +593,7 @@ class TestEndToEnd:
 
 def test_cli_import_leaves_out_scipy_stats():
     env = dict(os.environ, PYTHONPATH=str(Path(fedlmm.__file__).parents[1]))
-    code = "import sys, fedlmm.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"
+    modules = ("scipy.stats", "scipy.optimize", "scipy.special")
+    code = f"import sys, fedlmm.cli; print([m in sys.modules for m in {modules!r}])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False]"
