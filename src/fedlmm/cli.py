@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, FedLMMError, SingularDesignError, ValidationError
+from .errors import CapacityError, SingularDesignError, ValidationError
 from .estimator import fit_ml, fit_reml
 from .privacy import calibrate, privatize
 from .simulation import (
@@ -320,30 +321,24 @@ def write_bundle_csv(path: Path) -> Path:
 def end_to_end(outdir, seed: int = 7, epsilon0: float = 8.0) -> dict[str, object]:
     """summarize -> privatize -> fit -> attack on the bundled dataset.
 
-    Each stage runs its command's handler, so a stage's error reaches the
-    caller with its own type.
+    Each stage runs its command's handler through ``_dispatch``, as
+    ``main`` does, so a stage's error reaches the caller with its own type.
     """
     out = Path(outdir).absolute()  # so that no stage resolves it against $FEDLMM_OUT_DIR again
     out.mkdir(parents=True, exist_ok=True)
     bundle = write_bundle_csv(out / "bundle.csv")
-    parser = build_parser()
-
-    def run(argv: list[str]) -> None:
-        args = parser.parse_args(argv)
-        args.func(args)
-
-    run(["summarize", "--csv", str(bundle), "--outcome", "y", "--covariates",
-         "x1,x2,x3", "--site-col", "site", "--out", str(out / "summaries")])
+    _dispatch(["summarize", "--csv", str(bundle), "--outcome", "y", "--covariates",
+               "x1,x2,x3", "--site-col", "site", "--out", str(out / "summaries")])
     summary_files = sorted(str(p) for p in (out / "summaries").glob("*.json"))
     dp_files = [str(out / "private" / Path(f).name) for f in summary_files]
     for f, target in zip(summary_files, dp_files):
-        run(["privatize", "--in", f, "--out", target, "--epsilon0", repr(epsilon0),
-             "--delta", "0.01", "--seed", str(seed)])
+        _dispatch(["privatize", "--in", f, "--out", target, "--epsilon0", repr(epsilon0),
+                   "--delta", "0.01", "--seed", str(seed)])
     for name, files in (("dp", dp_files), ("plain", summary_files)):
-        run(["fit", *files, "--method", "ml", "--correction", "cr1",
-             "--out", str(out / f"fit_{name}.json"), "--coef-csv", str(out / f"coef_{name}.csv")])
-    run(["attack", "--n", "3", "--p", "3", "--epsilon0", repr(epsilon0),
-         "--delta", "0.01", "--reps", "50", "--seed", str(seed), "--out", str(out / "attack.csv")])
+        _dispatch(["fit", *files, "--method", "ml", "--correction", "cr1",
+                   "--out", str(out / f"fit_{name}.json"), "--coef-csv", str(out / f"coef_{name}.csv")])
+    _dispatch(["attack", "--n", "3", "--p", "3", "--epsilon0", repr(epsilon0),
+               "--delta", "0.01", "--reps", "50", "--seed", str(seed), "--out", str(out / "attack.csv")])
     return {
         "bundle": bundle,
         "summaries": summary_files,
@@ -392,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-intercept", dest="intercept", action="store_false")
     p.add_argument("--out", required=True, help="output directory for summary JSON files")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_summarize)
+    p.set_defaults(handler="cmd_summarize")
 
     p = sub.add_parser("privatize", help="apply the Gaussian mechanism to a summary file")
     p.add_argument("--in", dest="infile", required=True)
@@ -402,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensitive", default="",
                    help="comma-separated design columns (1-based) to perturb; default: every entry")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_privatize)
+    p.set_defaults(handler="cmd_privatize")
 
     p = sub.add_parser("fit", help="pooled ML/REML fit from summary files")
     p.add_argument("summaries", nargs="+")
@@ -413,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--coef-csv", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(handler="cmd_fit")
 
     p = sub.add_parser("simulate-estimation", help="replicated estimation study")
     p.add_argument("--scenario", required=True, choices=list(SCENARIOS))
@@ -425,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arms", default=",".join(ARMS))
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate_estimation)
+    p.set_defaults(handler="cmd_simulate_estimation")
 
     p = sub.add_parser("simulate-reconstruction", aliases=["attack"],
                        help="attack rates over (n, p, epsilon0) grids; attack is an alias")
@@ -438,30 +433,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=10.0, help="per-solve seconds")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate_reconstruction)
+    p.set_defaults(handler="cmd_simulate_reconstruction")
 
     p = sub.add_parser("pipeline", help="seeded summarize -> privatize -> fit -> attack smoke run")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--epsilon0", type=float, default=8.0)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(handler="cmd_pipeline")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process; each parse starts from its defaults."""
+    return build_parser()
+
+
+def _dispatch(argv) -> int:
+    """Parse ``argv`` and run its command's handler.
+
+    The handler is looked up by name in this module at call time, so a
+    ``cmd_*`` rebound after the parser was built is the one that runs.
+    """
+    args = _parser().parse_args(argv)
+    return globals()[args.handler](args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return _dispatch(argv)
     except (ValidationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularDesignError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except FedLMMError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
         return 2
 
 

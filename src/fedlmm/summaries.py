@@ -26,10 +26,15 @@ from .errors import ValidationError
 
 SCHEMA_VERSION = 1
 
-# Above this site size, cross products are accumulated with exact
-# compensated summation; summaries are the single source of truth
-# downstream, so rounding drift must stay bounded.
+# Above this site size, cross products are accumulated exactly and rounded
+# once; summaries are the single source of truth downstream, so rounding
+# drift must stay bounded.
 _EXACT_SUM_THRESHOLD = 10_000
+
+# Rows per block of the exact accumulation, and the headroom in bits that
+# its extraction needs: 2**_BLOCK_BITS >= _BLOCK_ROWS + 2.
+_BLOCK_ROWS = 1024
+_BLOCK_BITS = 11
 
 # Relative tolerance of the PSD and rank-one checks on unprivatized summaries.
 _STRUCTURE_RTOL = 1e-8
@@ -132,16 +137,43 @@ class SiteSummary:
             raise ValidationError(f"site {self.site_id!r}: T is not rank one")
 
 
-def _exact_crossprod(A: np.ndarray) -> np.ndarray:
-    """Entrywise fsum cross product; exact up to one final rounding."""
-    d = A.shape[1]
-    out = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            v = math.fsum((A[:, i] * A[:, j]).tolist())
-            out[i, j] = v
-            out[j, i] = v
-    return out
+def _exact_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray) -> list[float]:
+    """Correctly rounded column sums of the products ``A[:, left] * A[:, right]``.
+
+    Entry k is the ``math.fsum`` of the rounded products of columns
+    ``left[k]`` and ``right[k]``, or NaN where that sum is not finite.
+    The products are formed one block of rows at a time.  Each block is
+    split error-free, AccSum style (Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008): with sigma a power of two at least
+    2**_BLOCK_BITS times the largest remainder, ``q = (sigma + r) - sigma``
+    and ``r - q`` are exact, and the q of a block sum exactly.  Rounds
+    repeat until every remainder is zero, and one ``fsum`` per entry adds
+    the exact partials.  Products too large for sigma to be finite, and
+    non-finite ones, go to that ``fsum`` as they are.
+    """
+    partials = [np.zeros((1, len(left)))]  # all products may be zero
+    for start in range(0, A.shape[0], _BLOCK_ROWS):
+        block = A[start:start + _BLOCK_ROWS]
+        r = block[:, left] * block[:, right]
+        mu = np.abs(r).max(axis=0)
+        raw = ~(mu < 2.0 ** (1023 - _BLOCK_BITS))  # NaN and inf included
+        if raw.any():
+            partials.append(np.where(raw, r, 0.0))
+            r[:, raw] = 0.0
+            mu[raw] = 0.0
+        while mu.any():
+            sigma = np.ldexp(1.0, np.frexp(mu)[1] + _BLOCK_BITS)
+            q = (sigma + r) - sigma
+            r -= q
+            partials.append(q.sum(axis=0, keepdims=True))
+            mu = np.abs(r).max(axis=0)
+    sums = []
+    for column in np.concatenate(partials).T.tolist():
+        try:
+            sums.append(math.fsum(column))
+        except (OverflowError, ValueError):  # an overflowing sum, or inf - inf
+            sums.append(math.nan)
+    return sums
 
 
 def compute_summary(data: SiteData) -> SiteSummary:
@@ -149,17 +181,28 @@ def compute_summary(data: SiteData) -> SiteSummary:
 
     S collects all pairwise cross products of (y, X); T is the outer
     product of the column sums s = (1'y, 1'X).  Row order of the site
-    data is irrelevant.
+    data is irrelevant.  Above ``_EXACT_SUM_THRESHOLD`` rows, every entry
+    of S and s is the correctly rounded sum of its rounded products (what
+    ``math.fsum`` returns), so it does not depend on the row order either.
+    A sum that overflows leaves a non-finite entry, which the summary
+    rejects.
     """
-    A = np.column_stack([data.y, data.X])
-    if data.n > _EXACT_SUM_THRESHOLD:
-        S = _exact_crossprod(A)
-        s = np.array([math.fsum(A[:, j].tolist()) for j in range(A.shape[1])])
-    else:
-        S = A.T @ A
-        S = (S + S.T) / 2.0  # enforce bitwise symmetry
-        s = A.sum(axis=0)
-    T = np.outer(s, s)
+    d = data.p + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if data.n > _EXACT_SUM_THRESHOLD:
+            # A ones column turns the column sums into products as well.
+            A = np.column_stack([data.y, data.X, np.ones(data.n)])
+            left, right = np.triu_indices(d + 1)
+            left, right = left[:-1], right[:-1]  # drop ones * ones
+            S = np.empty((d + 1, d + 1))
+            S[left, right] = S[right, left] = _exact_sums(A, left, right)
+            S, s = S[:d, :d], S[:d, d]
+        else:
+            A = np.column_stack([data.y, data.X])
+            S = A.T @ A
+            S = (S + S.T) / 2.0  # enforce bitwise symmetry
+            s = A.sum(axis=0)
+        T = np.outer(s, s)
     return SiteSummary(site_id=data.site_id, n=data.n, S=S, T=T, privatized=False)
 
 
@@ -378,9 +421,9 @@ def summary_from_dict(obj: dict) -> SiteSummary:
 
 
 def save_summary(summary: SiteSummary, path) -> None:
+    text = json.dumps(summary_to_dict(summary), indent=0, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=0, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)  # one write: json.dump would stream hundreds of small ones
 
 
 def load_summary(path) -> SiteSummary:

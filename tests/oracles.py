@@ -9,6 +9,7 @@ dense per-site covariance blocks, and quantiles are frozen constants.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,23 @@ def brute_force_summary(y, X):
         for j in range(d):
             T[i, j] = colsum[i] * colsum[j]
     return S, T
+
+
+def fsum_crossprod(A):
+    """(S, s) of ``A``: one ``math.fsum`` per entry over the rounded products.
+
+    S[i, j] sums ``A[:, i] * A[:, j]`` and s[j] sums ``A[:, j]``, each
+    correctly rounded.  This is the per-entry loop that large sites were
+    summed with before the blocked accumulation.
+    """
+    A = np.asarray(A, dtype=float)
+    d = A.shape[1]
+    S = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            S[i, j] = S[j, i] = math.fsum((A[:, i] * A[:, j]).tolist())
+    s = np.array([math.fsum(A[:, j].tolist()) for j in range(d)])
+    return S, s
 
 
 def gram_fibers(n: int, p: int) -> dict[tuple, set[tuple]]:

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedlmm
+import fedlmm.cli as cli
 import fedlmm.estimator
 from fedlmm import calibrate, load_summary, privatize, save_summary
 from fedlmm.cli import _read_csv_columns, end_to_end, main, write_bundle_csv
@@ -114,6 +116,42 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'a b'" in err and "'a_b'" in err
         assert not out.exists()
+
+    def test_large_site_golden_bytes(self, tmp_path):
+        """Summary bytes of a site above the exact-summation threshold and one below it."""
+        rng = np.random.default_rng(1414)
+        rows = []
+        for sid, n in (("big", 12_289), ("small", 37)):
+            x1 = rng.binomial(1, 0.4, n).astype(float)
+            x2 = rng.normal(0.0, 1.0, n)
+            x3 = rng.normal(0.0, 2.0**20, n)
+            y = 0.5 + x1 - 0.25 * x2 + 1e-6 * x3 + rng.normal(0.0, 1.0, n)
+            cells = np.column_stack([y, x1, x2, x3]).tolist()
+            rows += [sid + "," + ",".join(map(repr, row)) for row in cells]
+        path = tmp_path / "large.csv"
+        path.write_text("site,y,x1,x2,x3\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "sums"
+        assert run(["summarize", "--csv", str(path), "--outcome", "y", "--covariates", "x1,x2,x3",
+                    "--site-col", "site", "--out", str(out)]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+        assert digests == {
+            "big.json": "d10737df344a1c10d54598436c381280453be7a46c688bd7fb58bf3db870778f",
+            "small.json": "2f57dba95f6034f2530893e77fa78b8eab6b0638acc09ab35ec5fd2159cb3d00",
+        }
+
+    @pytest.mark.parametrize("n", [5, 10_001])
+    def test_overflowing_site_exits_1(self, tmp_path, capsys, n):
+        """y'y = 3e308 overflows: exit 1 with the named error alone, at either site size."""
+        path = tmp_path / "huge.csv"
+        path.write_text("y,x\n" + "1e154,1.0\n" * 3 + "0.5,2.0\n" * (n - 3))
+        out = tmp_path / "sums"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["summarize", "--csv", str(path), "--outcome", "y", "--covariates", "x",
+                      "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: site 'site': non-finite summary entries\n")
+        assert not list(out.glob("*.json"))
 
 
 # (file text, expected (site, y, x) rows or a fragment of the error message)
@@ -321,6 +359,39 @@ def test_help_exits_0(capsys):
         run(["privatize", "--help"])
     assert exc.value.code == 0
     assert "--epsilon0" in capsys.readouterr().out
+
+
+class TestDispatch:
+    """One parser tree per process; each call runs the handler bound in the module now."""
+
+    def privatize_argv(self, summary, target, *options):
+        return ["privatize", "--in", str(summary), "--out", str(target),
+                "--epsilon0", "4", "--delta", "0.01", "--seed", "2", *options]
+
+    def test_parser_built_once_across_calls(self, tmp_path, summary_files, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for k in range(3):
+            assert run(self.privatize_argv(summary_files[k], tmp_path / f"dp{k}.json")) == 0
+        assert run(["fit", *map(str, summary_files), "--out", str(tmp_path / "r.json")]) == 0
+        assert builds == [1]
+
+    def test_rebound_handler_runs(self, tmp_path, summary_files, monkeypatch):
+        assert run(self.privatize_argv(summary_files[0], tmp_path / "a.json")) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_privatize", lambda args: seen.append(args.infile) or 0)
+        assert run(self.privatize_argv(summary_files[1], tmp_path / "b.json")) == 0
+        assert seen == [str(summary_files[1])]
+        assert not (tmp_path / "b.json").exists()
+
+    def test_no_option_state_leaks_between_calls(self, tmp_path, summary_files):
+        first, subset, again = (tmp_path / f"{name}.json" for name in ("first", "subset", "again"))
+        assert run(self.privatize_argv(summary_files[0], first)) == 0
+        assert run(self.privatize_argv(summary_files[0], subset, "--sensitive", "2,3")) == 0
+        assert run(self.privatize_argv(summary_files[0], again)) == 0
+        assert again.read_bytes() == first.read_bytes() != subset.read_bytes()
 
 
 class TestPrivatizeCommand:

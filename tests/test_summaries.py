@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from fedlmm import (
     save_summary,
     standardize,
 )
-from fedlmm.summaries import summary_from_dict, summary_to_dict
+from fedlmm.summaries import _exact_sums, summary_from_dict, summary_to_dict
 
-from oracles import brute_force_summary, dense_gls_beta
+from oracles import brute_force_summary, dense_gls_beta, fsum_crossprod
 
 
 def test_single_row_site():
@@ -51,6 +52,94 @@ def test_large_site_exact_accumulation(rng):
     S_ref, T_ref = brute_force_summary(y, X)
     np.testing.assert_allclose(s.S, S_ref, rtol=1e-12)
     np.testing.assert_allclose(s.T, T_ref, rtol=1e-10)
+
+
+# Column kinds for the exact-accumulation properties: cancellation pairs
+# (x, -x) in one column, subnormals, and wide-range values.
+_KINDS = ("binary", "normal", "cancel", "subnormal", "wide")
+
+
+def _column(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "binary":
+        return rng.binomial(1, 0.4, n).astype(float)
+    if kind == "normal":
+        return rng.normal(0.0, 1.0, n)
+    if kind == "cancel":
+        half = rng.normal(0.0, 1.0, n // 2)
+        return rng.permutation(np.concatenate([half, -half, rng.normal(0.0, 1e-9, n % 2)]))
+    if kind == "subnormal":
+        return np.ldexp(rng.integers(-2**52 + 1, 2**52, n).astype(float), -1074)
+    return rng.normal(0.0, 1.0, n) * np.ldexp(1.0, rng.integers(-43, 44, n))
+
+
+_columns = st.lists(st.tuples(st.sampled_from(_KINDS), st.sampled_from((-43, 0, 43))),
+                    min_size=1, max_size=4)
+
+
+def _design(seed, n, columns) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.column_stack([np.ldexp(_column(rng, kind, n), e) for kind, e in columns])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((1, 2, 1023, 1024, 1025, 2047, 2049, 3073)),
+       columns=_columns)
+def test_blocked_sums_equal_per_entry_fsum(seed, n, columns):
+    """Every block edge: one product pair per entry, each equal to the oracle's fsum bit for bit."""
+    A = _design(seed, n, columns)
+    d = A.shape[1]
+    left, right = np.triu_indices(d)
+    S, s = fsum_crossprod(A)
+    assert np.array(_exact_sums(A, left, right)).tobytes() == S[left, right].tobytes()
+    column_sums = _exact_sums(np.column_stack([A, np.ones(n)]), np.arange(d), np.full(d, d))
+    assert np.array(column_sums).tobytes() == s.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from((10_001, 10_239, 10_241, 11_263, 11_265, 12_287, 12_289)),
+       columns=_columns)
+def test_large_site_summary_equals_per_entry_fsum(seed, n, columns):
+    """Above the threshold, S and T are the oracle's correctly rounded sums, byte for byte."""
+    A = _design(seed, n, [("normal", 0)] + columns)
+    summary = compute_summary(SiteData(site_id="big", y=A[:, 0], X=A[:, 1:]))
+    S, s = fsum_crossprod(A)
+    assert summary.S.tobytes() == S.tobytes()
+    assert summary.T.tobytes() == np.outer(s, s).tobytes()
+
+
+def test_large_site_with_huge_finite_products(rng):
+    """Products too large for the extraction go to fsum as they are."""
+    n = 10_001
+    A = rng.normal(size=(n, 3))
+    A[7, 0] = 2.0**506  # y**2 = 2**1012: finite, past the extraction's range
+    s = compute_summary(SiteData(site_id="big", y=A[:, 0], X=A[:, 1:]))
+    S, col = fsum_crossprod(A)
+    assert s.S.tobytes() == S.tobytes()
+    assert s.T.tobytes() == np.outer(col, col).tobytes()
+
+
+def test_large_all_zero_site():
+    s = compute_summary(SiteData(site_id="zero", y=np.zeros(10_001), X=np.zeros((10_001, 2))))
+    assert s.S.tobytes() == np.zeros((3, 3)).tobytes()
+    assert s.T.tobytes() == np.zeros((3, 3)).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 10_001])
+@pytest.mark.parametrize("signs", ["overflow", "inf-minus-inf"])
+def test_overflowing_sums_are_rejected(n, signs):
+    """A cross product that overflows is a non-finite entry at every site size, with no warning."""
+    y = np.full(n, 0.5)
+    x = np.full(n, 2.0)
+    if signs == "overflow":
+        y[:3] = 1e154  # y'y = 3e308
+    else:
+        y[:2] = 1e200
+        x[:2] = [1e200, -1e200]  # x'y = inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite summary entries"):
+            compute_summary(SiteData(site_id="s", y=y, X=x[:, None]))
 
 
 def test_rejects_nonfinite():
