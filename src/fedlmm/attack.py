@@ -17,13 +17,14 @@ the Gram into the ranges a binary design can have (``clamp_gram``) and
 falls back to the count vector with the smallest total L1 deviation from
 the clamped constraints, so element-level accuracy is always defined.
 That repair is a branch-and-bound over the same pattern order: a greedy
-incumbent, counts tried in descending order under a diagonal cap, and an
-L1 lower bound at every node.  Both searches read the Gram through one
-table of upper-triangle slots (j <= k).  The exact search does numpy
-operations per node on an int64 slot vector; the repair keeps plain
-Python ints, because numpy's per-call overhead on at most 45 entries
-would dominate each of its nodes.  Both searches recurse once per
-pattern, so recursion depth caps p at 9.
+incumbent, counts tried in descending order under the exact search's
+cap plus the incumbent's violation, and an L1 lower bound at every node.
+Both searches read the Gram through one table of upper-triangle slots
+(j <= k).  The exact search does numpy operations per node on an int64
+slot vector; the repair keeps plain Python ints, because numpy's
+per-call overhead on at most 45 entries would dominate each of its
+nodes.  Both searches recurse once per pattern, so recursion depth caps
+p at 9.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ def _patterns(p: int) -> np.ndarray:
 class _Search:
     """The slot table shared by the exact and repair depth-first searches.
 
-    Per pattern: the upper-triangle slots it covers, and its diagonal
-    slots.  Per level: the slots some pattern from there on covers, and
-    the rest.
+    Per pattern: the upper-triangle slots it covers.  Per level: the slots
+    some pattern from there on covers, and the rest.
     """
 
     def __init__(self, p: int, n: int, deadline: float):
@@ -109,11 +109,9 @@ class _Search:
         iu, ju = self.triu = np.triu_indices(p)
         slot = {jk: s for s, jk in enumerate(zip(iu.tolist(), ju.tolist()))}
         self.cover: list[tuple[int, ...]] = []
-        self.diag: list[tuple[int, ...]] = []
         for u in self.patterns:
             sup = np.flatnonzero(u).tolist()
             self.cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
-            self.diag.append(tuple(slot[j, j] for j in sup))
         n_pat, n_slot = len(self.patterns), len(slot)
         self.covered_from = [()] * (n_pat + 1)
         self.uncovered_from = [tuple(range(n_slot))] * (n_pat + 1)
@@ -176,7 +174,7 @@ class _Search:
         pattern subtracts its count from the slots it covers.
         """
         n_pat = len(self.patterns)
-        cover, diag = self.cover, self.diag
+        cover = self.cover
         covered_from, uncovered_from = self.covered_from, self.uncovered_from
         R = gram[self.triu].tolist()
 
@@ -213,9 +211,10 @@ class _Search:
                 best, best_counts = lb, counts.copy()
                 return
             slots = cover[idx]
-            # A count c units above any covered diagonal cell costs at least
-            # c - R_jj on that cell alone, so cap by the incumbent.
-            c_cap = min(n_rem, max(0, min(R[s] for s in diag[idx])) + best)
+            # The exact search's cap, loosened by the incumbent: a larger c
+            # leaves some covered slot below -best, which no later pattern
+            # can undo.  lb < best, so every covered slot is above -best.
+            c_cap = min(n_rem, min(R[s] for s in slots) + best)
             for c in range(c_cap, -1, -1):
                 if c:
                     for s in slots:

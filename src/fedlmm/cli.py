@@ -52,18 +52,12 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _split_floats(text: str) -> list[float]:
+def _split(text: str, convert=str) -> list:
+    """Each token of a comma-separated list through ``convert``; blank tokens are skipped."""
     try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _split_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        return [convert(token) for token in text.split(",") if token.strip()]
+    except ValueError as exc:  # float() and int() name the token
+        raise ValidationError(f"bad item in the list {text!r}: {exc}") from None
 
 
 # -- summarize ----------------------------------------------------------------
@@ -145,7 +139,7 @@ def _raise_bad_cell(path: str, records, columns: list[str], site_col: str | None
 
 
 def cmd_summarize(args) -> int:
-    columns = [args.outcome] + [c for c in args.covariates.split(",") if c]
+    columns = [args.outcome] + _split(args.covariates)
     if len(columns) < 2:
         raise ValidationError("need at least one covariate")
     data, site_ids = _read_csv_columns(args.csv, columns, args.site_col)
@@ -185,7 +179,7 @@ def cmd_summarize(args) -> int:
 def cmd_privatize(args) -> int:
     summary = load_summary(args.infile)
     budget = calibrate(args.epsilon0, delta=args.delta, p=summary.p)
-    sensitive = frozenset(_split_ints(args.sensitive))
+    sensitive = frozenset(_split(args.sensitive, int))
     noisy = privatize(summary, budget, sensitive=sensitive, rng_seed=args.seed)
     target = _out_path(args.out)
     save_summary(noisy, target)
@@ -244,21 +238,10 @@ def cmd_fit(args) -> int:
 _RATE_FIELDS = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "failed")
 
 
-def _epsilon0_level(token: str) -> float | None:
-    """One privacy level: a number, or "ref"/"none" for the no-noise reference (None)."""
-    token = token.strip()
-    if token in ("ref", "none"):
-        return None
-    try:
-        return float(token)
-    except ValueError:
-        raise ValidationError(f'epsilon0 must be a number or "ref", got {token!r}') from None
-
-
 def cmd_simulate_reconstruction(args) -> int:
     rows = run_reconstruction_study(
-        n_values=_split_ints(args.n), p_values=_split_ints(args.p),
-        epsilon0_values=[_epsilon0_level(t) for t in args.epsilon0.split(",") if t.strip()],
+        n_values=_split(args.n, int), p_values=_split(args.p, int),
+        epsilon0_values=_split(args.epsilon0, lambda t: None if t.strip() == "ref" else float(t)),
         reps=args.reps, seed=args.seed, delta=args.delta, timeout_s=args.timeout,
     )
     for row in rows:
@@ -275,16 +258,16 @@ def cmd_simulate_reconstruction(args) -> int:
 
 def cmd_simulate_estimation(args) -> int:
     rows = []
-    for K in _split_ints(args.K):
-        scenario = Scenario.from_name(args.scenario, K=K)
+    for K in _split(args.K, int):
+        scenario = Scenario(args.scenario, K=K)
         rows.extend(
             run_estimation_study(
                 scenario,
-                epsilon0_grid=_split_floats(args.epsilon0),
+                epsilon0_grid=_split(args.epsilon0, float),
                 reps=args.reps,
                 seed=args.seed,
                 correction=args.correction,
-                arms=tuple(args.arms.split(",")),
+                arms=tuple(_split(args.arms)),
                 workers=args.workers,
             )
         )

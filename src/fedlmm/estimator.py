@@ -211,17 +211,6 @@ class _Kernel:
             g = g - 0.5 * logdet
         return g, beta
 
-    def _ratio_matrix(self, gamma) -> np.ndarray:
-        """sigma2 * (S_sum - sum_k c_k T_k) at gamma = tau2/sigma2; gamma may be a vector."""
-        gn = np.multiply.outer(gamma, self.n)
-        c = gn / (1.0 + gn) / self.n
-        return self.S_sum - np.tensordot(c, self.T_full, axes=1)
-
-    def _deviance_terms(self, gamma, quad, logdet_w, reml: bool):
-        m = self.N - self.p if reml else self.N
-        dev = m * np.log(quad) + np.log1p(np.multiply.outer(gamma, self.n)).sum(axis=-1)
-        return dev + logdet_w if reml else dev
-
     def grid_deviance(self, gammas: np.ndarray, reml: bool) -> tuple[np.ndarray, np.ndarray]:
         """Profiled deviance and pooled quadratic at each gamma, or _IllPosed.
 
@@ -229,7 +218,9 @@ class _Kernel:
         its condition number exceeds ``_COND_LIMIT``, or the quadratic is not
         positive, so sigma2 has no closed form there; REML also needs N > p.
         """
-        M = self._ratio_matrix(gammas)
+        gn = np.multiply.outer(gammas, self.n)
+        # sigma2 * (S_sum - sum_k c_k T_k) at each gamma = tau2/sigma2
+        M = self.S_sum - np.tensordot(gn / (1.0 + gn) / self.n, self.T_full, axes=1)
         W, q = M[:, 1:, 1:], M[:, 1:, 0]
         lam = np.linalg.eigvalsh(W)  # ascending; cond = lam_max / lam_min when positive
         if not ((lam[:, 0] > 0).all() and (lam[:, -1] <= _COND_LIMIT * lam[:, 0]).all()):
@@ -237,8 +228,8 @@ class _Kernel:
         quad = M[:, 0, 0] - (q * np.linalg.solve(W, q[..., None])[..., 0]).sum(axis=1)
         if not (quad > 0).all() or (reml and self.N <= self.p):
             raise _IllPosed
-        logdet_w = np.log(lam).sum(axis=1) if reml else None
-        return self._deviance_terms(gammas, quad, logdet_w, reml), quad
+        dev = (self.N - self.p if reml else self.N) * np.log(quad) + np.log1p(gn).sum(axis=-1)
+        return (dev + np.log(lam).sum(axis=1) if reml else dev), quad
 
 
 class _IllPosed(Exception):
@@ -285,13 +276,8 @@ def profile_beta(
     return _Kernel(summaries).profile_beta(sigma2, tau2)
 
 
-def _softplus(u: float) -> float:
-    return float(np.logaddexp(0.0, u))
-
-
 def _softplus_inv(t: float) -> float:
-    if t <= 0:
-        raise ValueError("softplus inverse needs t > 0")
+    """log(e^t - 1), for t > 0."""
     if t > 30.0:
         return t  # log(e^t - 1) == t to double precision
     return float(t + np.log1p(-np.exp(-t)))
@@ -314,26 +300,10 @@ class _SearchSpace:
         else:  # a box reaching past exp(709) needs an outcome scale above 8e299
             with np.errstate(over="ignore"):
                 sigma2 = float(np.exp(u[0]))
-        tau2 = _softplus(u[1]) if u.shape[0] > 1 else 0.0
+        tau2 = float(np.logaddexp(0.0, u[1])) if u.shape[0] > 1 else 0.0  # softplus
         if not (self.sigma2_lo <= sigma2 <= self.sigma2_hi) or tau2 > self.tau2_hi:
             return None
         return sigma2, tau2
-
-
-def _minimize_nm(fun, x0: np.ndarray):
-    from scipy import optimize  # imported on first use, to keep `import fedlmm` light
-
-    return optimize.minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": _PARAM_TOL,
-            "fatol": _OBJECTIVE_TOL,
-            "maxfev": _MAX_EVALS,
-            "disp": False,
-        },
-    )
 
 
 def _search_space(kernel: _Kernel) -> _SearchSpace:
@@ -433,6 +403,8 @@ def _nelder_mead_search(
     tau2), then in log sigma2 alone on the tau2 = 0 edge, which wins ties.
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
+    from scipy import optimize  # imported on first use, to keep `import fedlmm` light
+
     scale = kernel.scale()
     space = _search_space(kernel)
 
@@ -455,47 +427,33 @@ def _nelder_mead_search(
         s2_start = scale
     s2_start = float(np.clip(s2_start, space.sigma2_lo, space.sigma2_hi))
     starts = [
-        (0.5 * s2_start, 0.5 * s2_start),
-        (0.9 * s2_start, 0.1 * s2_start),
-        (0.3 * s2_start, min(1.0 * s2_start, space.tau2_hi)),
-    ]
+        [np.log(s2), _softplus_inv(max(t2, 1e-8 * scale))]
+        for s2, t2 in ((0.5 * s2_start, 0.5 * s2_start), (0.9 * s2_start, 0.1 * s2_start),
+                       (0.3 * s2_start, min(s2_start, space.tau2_hi)))
+    ] + [[np.log(s2_start)]]  # last, the tau2 = 0 edge: log sigma2 alone
 
     n_evals = 0
-    best = None  # (value, sigma2, tau2, success)
-
-    for s2, t2 in starts:
-        t2 = max(t2, 1e-8 * scale)
-        u0 = np.array([np.log(s2), _softplus_inv(t2)])
-        res = _minimize_nm(neg, u0)
+    best = edge = None  # (value, sigma2, tau2, success)
+    for u0 in starts:
+        res = optimize.minimize(neg, np.array(u0), method="Nelder-Mead", options={
+            "xatol": _PARAM_TOL, "fatol": _OBJECTIVE_TOL, "maxfev": _MAX_EVALS, "disp": False,
+        })
         n_evals += res.nfev
         decoded = space.decode(res.x)
         if decoded is None or res.fun >= _PENALTY:
             continue
-        sigma2, tau2 = decoded
-        if best is None or -res.fun > best[0]:
-            best = (-res.fun, sigma2, tau2, bool(res.success))
+        found = (-res.fun, *decoded, bool(res.success))
+        if len(u0) == 1:
+            edge = found
+        elif best is None or found[0] > best[0]:
+            best = found
 
-    # The tau2 = 0 edge: 1-D search in log sigma2.
-    res = _minimize_nm(neg, np.array([np.log(s2_start)]))
-    n_evals += res.nfev
-    edge = None
-    if res.fun < _PENALTY:
-        decoded = space.decode(res.x)
-        if decoded is not None:
-            edge = (-res.fun, *decoded, bool(res.success))
-
-    boundary = False
     if best is None and edge is None:
         raise SingularDesignError("profile objective unusable over the whole search box")
-    if best is None:
-        chosen = edge
-        boundary = True
-    elif edge is not None and edge[0] >= best[0] - 1e-10 * (1.0 + abs(edge[0])):
-        chosen = edge
-        boundary = True
-    else:
-        chosen = best
-    value, sigma2, tau2, success = chosen
+    boundary = best is None or (
+        edge is not None and edge[0] >= best[0] - 1e-10 * (1.0 + abs(edge[0]))
+    )
+    value, sigma2, tau2, success = edge if boundary else best
     return sigma2, tau2, value, success, n_evals, boundary
 
 

@@ -107,14 +107,6 @@ def gaussian_mechanism(matrix: np.ndarray, budget: PrivacyBudget, rng_seed: int)
     return matrix + rng.normal(0.0, budget.sigma_dp, size=matrix.shape)
 
 
-def _noise_mask(d: int, sensitive: frozenset[int]) -> np.ndarray:
-    """1 where the entry's row or column touches a sensitive design column."""
-    touches = np.zeros(d, dtype=bool)
-    for j in sensitive:
-        touches[j] = True
-    return (touches[:, None] | touches[None, :]).astype(float)
-
-
 def privatize(
     summary: SiteSummary,
     budget: PrivacyBudget,
@@ -148,7 +140,10 @@ def privatize(
     u1 = (u1 + u1.T) / 2.0
     u2 = (u2 + u2.T) / 2.0
     if sensitive:
-        mask = _noise_mask(d, sensitive)
+        touches = np.zeros(d, dtype=bool)
+        for j in sensitive:
+            touches[j] = True
+        mask = (touches[:, None] | touches[None, :]).astype(float)
         u1 = u1 * mask
         u2 = u2 * mask
     return SiteSummary(

@@ -61,7 +61,7 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of the estimation experiment.
+    """One cell of the estimation experiment, named after an entry of ``SCENARIOS``.
 
     The generator draws six covariates (four Bernoulli, two Gaussian) and a
     site-level random intercept, optionally plus a random slope on x1; the
@@ -71,25 +71,22 @@ class Scenario:
     """
 
     name: str
-    generator: str = "random-intercept"  # | "random-intercept-slope"
-    analysis: str = "full"  # | "underfit"
     K: int = 20
     tau2: float = 1.0
 
     def __post_init__(self):
-        if self.generator not in ("random-intercept", "random-intercept-slope"):
-            raise ValidationError(f"unknown generator {self.generator!r}")
-        if self.analysis not in ("full", "underfit"):
-            raise ValidationError(f"unknown analysis {self.analysis!r}")
+        if self.name not in SCENARIOS:
+            raise ValidationError(f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}")
         if self.K < 1:
             raise ValidationError("K must be >= 1")
 
-    @classmethod
-    def from_name(cls, name: str, K: int) -> "Scenario":
-        if name not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-        generator, analysis = SCENARIOS[name]
-        return cls(name=name, generator=generator, analysis=analysis, K=K)
+    @property
+    def generator(self) -> str:
+        return SCENARIOS[self.name][0]
+
+    @property
+    def analysis(self) -> str:
+        return SCENARIOS[self.name][1]
 
     @property
     def design_columns(self) -> list[str]:
@@ -119,15 +116,12 @@ def draw_site_sizes(rng: np.random.Generator, scenario: Scenario) -> np.ndarray:
     return np.where(pick_small, small, large)
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def generate(scenario: Scenario, seed) -> list[SiteData]:
-    """Draw the full-design data of all sites (intercept + six covariates)."""
-    rng = _rng_from(seed)
+    """Draw the full-design data of all sites (intercept + six covariates).
+
+    ``seed`` is anything ``np.random.default_rng`` takes; a Generator is used as it is.
+    """
+    rng = np.random.default_rng(seed)
     sizes = draw_site_sizes(rng, scenario)
     beta = np.asarray(_BETA0)
     sites = []
@@ -281,9 +275,8 @@ def run_estimation_study(
     """Replicated arms on common random numbers; failures never abort the study."""
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    bad = [a for a in arms if a not in ARMS]
-    if bad:
-        raise ValidationError(f"unknown arms {bad}")
+    if not arms or any(a not in ARMS for a in arms):
+        raise ValidationError(f"arms must be one or more of {list(ARMS)}, got {list(arms)}")
     # Refuse here what every replicate would refuse, before a failed
     # reference fit can hide it: a level calibrate rejects, or a correction
     # the scenario's K and p cannot take.  N is drawn, so delta = 1/N and

@@ -199,8 +199,7 @@ def compute_summary(data: SiteData) -> SiteSummary:
             S, s = S[:d, :d], S[:d, d]
         else:
             A = np.column_stack([data.y, data.X])
-            S = A.T @ A
-            S = (S + S.T) / 2.0  # enforce bitwise symmetry
+            S = A.T @ A  # numpy's syrk path, which mirrors one triangle onto the other
             s = A.sum(axis=0)
         T = np.outer(s, s)
     return SiteSummary(site_id=data.site_id, n=data.n, S=S, T=T, privatized=False)

@@ -62,6 +62,16 @@ def fsum_crossprod(A):
     return S, s
 
 
+def averaged_gram(A):
+    """(A'A + (A'A)')/2: how sites of at most 10,000 rows made S symmetric before.
+
+    The average overflows wherever an entry exceeds half the largest float.
+    """
+    A = np.asarray(A, dtype=float)
+    S = A.T @ A
+    return (S + S.T) / 2.0
+
+
 def gram_fibers(n: int, p: int) -> dict[tuple, set[tuple]]:
     """Map each Gram value to the set of row-multisets producing it.
 

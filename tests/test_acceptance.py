@@ -71,7 +71,7 @@ def study_k():
     t0 = time.perf_counter()
     rows = {}
     for K in (20, 50, 100, 200):
-        scenario = Scenario.from_name("ri-correct", K=K)
+        scenario = Scenario("ri-correct", K=K)
         rows[K] = run_estimation_study(
             scenario, [16.0], reps=500, seed=606, arms=("ipd", "dp"), workers=2
         )
@@ -82,7 +82,7 @@ def study_k():
 def study_eps():
     """ri-correct at K=200 across the eps0 grid: criteria 6 (slope in eps0) and 7."""
     t0 = time.perf_counter()
-    scenario = Scenario.from_name("ri-correct", K=200)
+    scenario = Scenario("ri-correct", K=200)
     rows = run_estimation_study(
         scenario, [2.0, 4.0, 8.0, 12.0, 16.0, 20.0], reps=1000, seed=707,
         arms=("ipd", "dp"), workers=2,

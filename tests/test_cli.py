@@ -527,7 +527,7 @@ class TestSimulateCommands:
         assert next(csv.DictReader(open(a)))["epsilon0"] == "ref"
 
     @pytest.mark.parametrize("command, level", [
-        ("attack", "abc"), ("simulate-reconstruction", "ref,abc"),
+        ("attack", "abc"), ("simulate-reconstruction", "ref,abc"), ("simulate-reconstruction", "none"),
     ])
     def test_bad_epsilon0_exits_1(self, tmp_path, capsys, command, level):
         out = tmp_path / "rates.csv"
@@ -535,7 +535,8 @@ class TestSimulateCommands:
                   "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'abc'" in err and "Traceback" not in err
+        bad = level.split(",")[-1]  # "ref" is the only spelling of the no-noise level
+        assert err.startswith("error: ") and repr(bad) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_estimation_correction_error_exits_1(self, tmp_path, capsys):
@@ -566,6 +567,29 @@ class TestSimulateCommands:
                   "--reps", "2", "--out", str(tmp_path / "rates.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, clean, messy", [
+    ("summarize --csv {csv} --outcome ct --covariates {} --site-id s", "result,sex", "result,,sex,"),
+    ("privatize --in {summary} --epsilon0 4 --delta 0.01 --sensitive {}", "2,3", "2, ,3,"),
+    ("simulate-estimation --scenario ri-mis --K {} --epsilon0 8 --reps 1 --arms ipd,dp", "3,4", "3,,4,"),
+    ("simulate-estimation --scenario ri-mis --K 4 --epsilon0 {} --reps 1 --arms ipd,dp", "8,2", " ,8,2,"),
+    ("simulate-estimation --scenario ri-mis --K 4 --epsilon0 8 --reps 1 --arms {}", "ipd,dp", "ipd,dp,"),
+    ("simulate-reconstruction --n {} --p 2 --reps 3", "2,3", "2,3,"),
+    ("simulate-reconstruction --n 2 --p {} --reps 3", "2,3", "2,,3"),
+    ("simulate-reconstruction --n 2 --p 2 --epsilon0 {} --reps 3", "ref,8", "ref, ,8,"),
+], ids=["covariates", "sensitive", "K", "estimation-epsilon0", "arms", "n", "p",
+        "reconstruction-epsilon0"])
+def test_blank_list_tokens_are_skipped(tmp_path, clinic_csv, summary_files, argv, clean, messy):
+    """A trailing comma or a blank token changes no output byte of any list option."""
+    outputs = []
+    for value in (clean, messy):
+        out = tmp_path / f"out{len(outputs)}"
+        args = [value if a == "{}" else a.format(csv=clinic_csv, summary=summary_files[0])
+                for a in argv.split()]
+        assert run([*args, "--out", str(out)]) == 0
+        outputs.append(tree(out) if out.is_dir() else out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestEndToEnd:

@@ -145,7 +145,7 @@ class TestKernelBitIdentity:
     def _instances(rng):
         exact = [_summaries(random_sites(rng, K=int(rng.integers(3, 30)), p=p))
                  for p in (1, 2, 3, 4)]
-        scenario = simulation.Scenario.from_name("ri-correct", K=200)
+        scenario = simulation.Scenario("ri-correct", K=200)
         sites = simulation.generate(scenario, seed=11)
         study = _summaries(standardize(sites, names=scenario.design_columns)[0])
         private = [
@@ -218,7 +218,7 @@ def test_search_space_decode_large_log_sigma2():
 
 class TestFitML:
     def test_recovers_truth_at_many_sites(self):
-        scenario = simulation.Scenario.from_name("ri-correct", K=200)
+        scenario = simulation.Scenario("ri-correct", K=200)
         sites = simulation.generate(scenario, seed=11)
         fit = fit_ml(_summaries(sites))
         assert fit.converged
@@ -227,7 +227,7 @@ class TestFitML:
         assert abs(fit.theta_hat.tau2 - 1.0) < 0.5
 
     def test_boundary_tau_majority_when_no_site_effects(self):
-        scenario = simulation.Scenario(name="flat", tau2=0.0, K=40)
+        scenario = simulation.Scenario("ri-correct", tau2=0.0, K=40)
         hits = 0
         for rep in range(11):
             sites = simulation.generate(scenario, seed=300 + rep)

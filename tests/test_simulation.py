@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedlmm import MetricRow, Scenario, SingularDesignError, ValidationError, generate
+from fedlmm import AttackResult, MetricRow, Scenario, SingularDesignError, ValidationError, generate
 from fedlmm import simulation
 from fedlmm.simulation import (
     _SIGMA2,
@@ -19,7 +19,7 @@ from fedlmm.simulation import (
 class TestGenerate:
     def test_size_law_histogram(self):
         rng = np.random.default_rng(5)
-        scenario = Scenario(name="s", K=100_000)
+        scenario = Scenario("ri-correct", K=100_000)
         sizes = draw_site_sizes(rng, scenario)
         small = ((sizes >= 2) & (sizes <= 10)).mean()
         large = ((sizes >= 50) & (sizes <= 100)).mean()
@@ -27,7 +27,7 @@ class TestGenerate:
         assert small + large == 1.0
 
     def test_seed_determinism(self):
-        scenario = Scenario.from_name("ris-correct", K=15)
+        scenario = Scenario("ris-correct", K=15)
         a = generate(scenario, 42)
         b = generate(scenario, 42)
         assert len(a) == len(b) == 15
@@ -40,14 +40,14 @@ class TestGenerate:
 
     def test_no_site_effect_moment_check(self):
         # with tau2 = 0, sqrt(n_k) * mean residual per site is N(0, sigma2)
-        scenario = Scenario(name="flat", K=10_000, tau2=0.0)
+        scenario = Scenario("ri-correct", K=10_000, tau2=0.0)
         sites = generate(scenario, 9)
         beta = scenario.beta0_analysis
         z = np.array([np.sqrt(s.n) * (s.y - s.X @ beta).mean() for s in sites])
         assert z.var() == pytest.approx(_SIGMA2, rel=0.05)
 
     def test_covariate_laws(self):
-        scenario = Scenario(name="s", K=400)
+        scenario = Scenario("ri-correct", K=400)
         X = np.concatenate([s.X for s in generate(scenario, 3)])
         assert np.array_equal(X[:, 0], np.ones(len(X)))
         for col, target in ((1, 0.5), (3, 0.3), (4, 0.7), (5, 0.5)):
@@ -58,23 +58,23 @@ class TestGenerate:
         assert X[:, 6].std() == pytest.approx(0.5, abs=0.03)
 
     def test_underfit_design_and_sensitive_blocks(self):
-        full = Scenario.from_name("ri-correct", K=5)
+        full = Scenario("ri-correct", K=5)
         assert full.sensitive_design_blocks == frozenset({5, 6, 7})
-        under = Scenario.from_name("ri-mis", K=5)
+        under = Scenario("ri-mis", K=5)
         assert under.design_columns == ["intercept", "x1", "x2"]
         assert under.sensitive_design_blocks == frozenset()
         assert np.array_equal(under.beta0_analysis, [1.0, 0.5, 0.5])
 
     def test_bad_names(self):
         with pytest.raises(ValidationError):
-            Scenario.from_name("nope", K=5)
+            Scenario("nope", K=5)
         with pytest.raises(ValidationError):
-            Scenario(name="x", generator="weird")
+            Scenario("ri-correct", K=0)
 
 
 class TestEstimationStudy:
     def test_rows_well_formed(self):
-        scenario = Scenario.from_name("ri-correct", K=12)
+        scenario = Scenario("ri-correct", K=12)
         rows = run_estimation_study(scenario, [8.0], reps=3, seed=21)
         assert len(rows) == 3 * 3  # ipd, dp, dp2 per replicate
         ipd = [r for r in rows if r.arm == "ipd"]
@@ -86,7 +86,7 @@ class TestEstimationStudy:
         assert all(len(r.beta_hat) == 7 for r in rows if not r.failed)
 
     def test_determinism_and_order_independence(self):
-        scenario = Scenario.from_name("ri-correct", K=10)
+        scenario = Scenario("ri-correct", K=10)
         rows_a = run_estimation_study(scenario, [8.0], reps=4, seed=5)
         rows_b = run_estimation_study(scenario, [8.0], reps=4, seed=5)
         assert rows_a == rows_b
@@ -103,7 +103,7 @@ class TestEstimationStudy:
             raise SingularDesignError("singular pooled design")
 
         monkeypatch.setattr(simulation, "fit_ml", singular)
-        scenario = Scenario.from_name("ri-correct", K=6)
+        scenario = Scenario("ri-correct", K=6)
         rows = one_replicate(scenario, [8, 2], seed=4, replicate=1)
         assert [(r.arm, r.epsilon0) for r in rows] == [
             ("ipd", None), ("dp", 8.0), ("dp", 2.0), ("dp2", 8.0), ("dp2", 2.0),
@@ -111,15 +111,27 @@ class TestEstimationStudy:
         assert all(type(r.epsilon0) is float for r in rows[1:])
         assert all(r.failed and r.replicate == 1 and r.beta_hat is None for r in rows)
 
+    @pytest.mark.parametrize("stage", ["standardize", "compute_summary"])
+    def test_failed_data_step_fails_every_row_in_order(self, monkeypatch, stage):
+        def invalid(*args, **kwargs):
+            raise ValidationError("bad site data")
+
+        monkeypatch.setattr(simulation, stage, invalid)
+        rows = one_replicate(Scenario("ri-correct", K=6), [8, 2], seed=4, replicate=2)
+        assert [(r.arm, r.epsilon0) for r in rows] == [
+            ("ipd", None), ("dp", 8.0), ("dp", 2.0), ("dp2", 8.0), ("dp2", 2.0),
+        ]
+        assert all(r.failed and r.replicate == 2 and r.beta_hat is None for r in rows)
+
     def test_workers_match_serial(self):
-        scenario = Scenario.from_name("ri-correct", K=8)
+        scenario = Scenario("ri-correct", K=8)
         serial = run_estimation_study(scenario, [8.0], reps=4, seed=2, workers=1)
         parallel = run_estimation_study(scenario, [8.0], reps=4, seed=2, workers=2)
         assert serial == parallel
 
     def test_dp2_masks_only_sensitive_blocks(self):
         # underfit analysis has no sensitive columns: dp2 equals the ipd fit
-        scenario = Scenario.from_name("ri-mis", K=10)
+        scenario = Scenario("ri-mis", K=10)
         rows = run_estimation_study(scenario, [4.0], reps=2, seed=3)
         dp2 = [r for r in rows if r.arm == "dp2"]
         assert all(r.l2_privacy_cost == 0.0 for r in dp2)
@@ -129,20 +141,22 @@ class TestEstimationStudy:
     def test_arms_share_generated_data(self):
         # common random numbers: with vanishing noise the dp arm reproduces
         # the ipd fit, so the privacy cost isolates the injected noise alone
-        scenario = Scenario.from_name("ri-correct", K=10)
+        scenario = Scenario("ri-correct", K=10)
         rows = run_estimation_study(scenario, [1e9], reps=2, seed=8)
         dp = [r for r in rows if r.arm == "dp"]
         assert all(r.l2_privacy_cost < 1e-4 for r in dp)
 
     def test_invalid_args(self):
-        scenario = Scenario.from_name("ri-correct", K=5)
+        scenario = Scenario("ri-correct", K=5)
         with pytest.raises(ValidationError):
             run_estimation_study(scenario, [8.0], reps=0, seed=1)
         with pytest.raises(ValidationError):
             run_estimation_study(scenario, [8.0], reps=1, seed=1, arms=("nope",))
+        with pytest.raises(ValidationError, match="one or more"):
+            run_estimation_study(scenario, [8.0], reps=1, seed=1, arms=())
 
     def test_csv_round_trip(self, tmp_path):
-        scenario = Scenario.from_name("ri-correct", K=8)
+        scenario = Scenario("ri-correct", K=8)
         rows = run_estimation_study(scenario, [8.0], reps=2, seed=9, arms=("ipd", "dp"))
         out = tmp_path / "metrics.csv"
         write_rows(map(vars, rows), out, METRIC_FIELDS)
@@ -262,3 +276,31 @@ class TestReconstructionCell:
         assert row["matrix_rate"] == 0.0
         assert row["element_rate"] == 0.9080000000000001
         assert row["failed"] == 0
+
+    def test_failed_replicates_are_counted(self, monkeypatch):
+        """Matrix rate over every replicate, element rate over the solved ones only."""
+        attack = simulation.attack_mod.attack_pipeline
+        solved = []
+
+        def every_third_fails(X, budget, rng_seed, timeout_s):
+            if (len(solved) + 1) % 3 == 0:
+                solved.append(None)
+                return AttackResult("failed")
+            solved.append(attack(X, budget, rng_seed=rng_seed, timeout_s=timeout_s))
+            return solved[-1]
+
+        monkeypatch.setattr(simulation.attack_mod, "attack_pipeline", every_third_fails)
+        row = run_reconstruction_cell(n=3, p=3, epsilon0=8.0, reps=12, seed=4)
+        results = [r for r in solved if r is not None]
+        hits = sum(r.matrix_rate for r in results)
+        assert row["failed"] == 4 and len(results) == 8
+        assert 0 < hits < len(results)
+        assert row["matrix_rate"] == hits / 12
+        assert row["element_rate"] == pytest.approx(
+            sum(r.element_rate for r in results) / len(results), rel=1e-15)
+
+    def test_all_replicates_failed(self, monkeypatch):
+        monkeypatch.setattr(simulation.attack_mod, "attack_pipeline",
+                            lambda *args, **kwargs: AttackResult("failed"))
+        row = run_reconstruction_cell(n=3, p=3, epsilon0=8.0, reps=5, seed=4)
+        assert (row["failed"], row["matrix_rate"], row["element_rate"]) == (5, 0.0, 0.0)

@@ -18,7 +18,7 @@ from fedlmm import (
 )
 from fedlmm.summaries import _exact_sums, summary_from_dict, summary_to_dict
 
-from oracles import brute_force_summary, dense_gls_beta, fsum_crossprod
+from oracles import averaged_gram, brute_force_summary, dense_gls_beta, fsum_crossprod
 
 
 def test_single_row_site():
@@ -140,6 +140,26 @@ def test_overflowing_sums_are_rejected(n, signs):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite summary entries"):
             compute_summary(SiteData(site_id="s", y=y, X=x[:, None]))
+
+
+@pytest.mark.parametrize("n", [5, 10_001])
+def test_entries_above_half_the_largest_float_are_kept(n):
+    """S[0, 0] = 1e308 is finite at every site size; no symmetrising step overflows it."""
+    v = np.sqrt(2e307)
+    y = np.zeros(n)
+    y[:5] = [v, -v, v, -v, v]
+    s = compute_summary(SiteData(site_id="s", y=y, X=np.ones((n, 1))))
+    assert s.S[0, 0] == pytest.approx(1e308, rel=1e-15)
+    assert np.array_equal(s.S, s.S.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 60), st.integers(2, 7)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1e150, 1e150))))
+def test_small_site_gram_equals_averaged_gram(A):
+    """At or below 10,000 rows S is (y, X)'(y, X), byte for byte the old symmetrised average."""
+    s = compute_summary(SiteData(site_id="h", y=A[:, 0], X=A[:, 1:]))
+    assert s.S.tobytes() == averaged_gram(A).tobytes()
 
 
 def test_rejects_nonfinite():
