@@ -60,6 +60,14 @@ def _split(text: str, convert=str) -> list:
         raise ValidationError(f"bad item in the list {text!r}: {exc}") from None
 
 
+def _grid(option: str, text: str, convert) -> list:
+    """``_split`` of a study's grid option, which must list at least one value."""
+    values = _split(text, convert)
+    if not values:
+        raise ValidationError(f"{option} lists no values")
+    return values
+
+
 # -- summarize ----------------------------------------------------------------
 
 
@@ -180,7 +188,7 @@ def cmd_privatize(args) -> int:
     summary = load_summary(args.infile)
     budget = calibrate(args.epsilon0, delta=args.delta, p=summary.p)
     sensitive = frozenset(_split(args.sensitive, int))
-    noisy = privatize(summary, budget, sensitive=sensitive, rng_seed=args.seed)
+    noisy = privatize(merge_summaries([summary]), budget, sensitive, rng_seed=args.seed)[0]
     target = _out_path(args.out)
     save_summary(noisy, target)
     print(target)
@@ -240,8 +248,9 @@ _RATE_FIELDS = ("n", "p", "epsilon0", "matrix_rate", "element_rate", "reps", "fa
 
 def cmd_simulate_reconstruction(args) -> int:
     rows = run_reconstruction_study(
-        n_values=_split(args.n, int), p_values=_split(args.p, int),
-        epsilon0_values=_split(args.epsilon0, lambda t: None if t.strip() == "ref" else float(t)),
+        n_values=_grid("--n", args.n, int), p_values=_grid("--p", args.p, int),
+        epsilon0_values=_grid("--epsilon0", args.epsilon0,
+                              lambda t: None if t.strip() == "ref" else float(t)),
         reps=args.reps, seed=args.seed, delta=args.delta, timeout_s=args.timeout,
     )
     for row in rows:
@@ -257,13 +266,14 @@ def cmd_simulate_reconstruction(args) -> int:
 
 
 def cmd_simulate_estimation(args) -> int:
+    Ks, epsilon0_grid = _grid("--K", args.K, int), _grid("--epsilon0", args.epsilon0, float)
     rows = []
-    for K in _split(args.K, int):
+    for K in Ks:
         scenario = Scenario(args.scenario, K=K)
         rows.extend(
             run_estimation_study(
                 scenario,
-                epsilon0_grid=_split(args.epsilon0, float),
+                epsilon0_grid=epsilon0_grid,
                 reps=args.reps,
                 seed=args.seed,
                 correction=args.correction,

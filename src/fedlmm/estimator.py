@@ -119,6 +119,7 @@ class FitResult:
 class _Kernel:
     """Stacked-array evaluation of the summary likelihood and its profile.
 
+    It reads the set's (K, p+1, p+1) S and T stacks in place, and n as floats.
     ``txx_flat`` holds T_k[XX] reshaped once to (K, p*p): a C-ordered copy
     of the strided ``T[:, 1:, 1:]`` view for p > 1, a view for p = 1.  It
     is the array ``np.tensordot`` builds on every call, so the weight sum
@@ -130,10 +131,9 @@ class _Kernel:
     """
 
     def __init__(self, summaries: FederatedSummarySet):
-        st = summaries.stacked()
-        self.n = st["n"]
-        self.S_full = st["S"]
-        self.T_full = st["T"]
+        self.n = summaries.n.astype(float)
+        self.S_full = summaries.S
+        self.T_full = summaries.T
         self.K = summaries.K
         self.p = summaries.p
         self.N = float(self.n.sum())

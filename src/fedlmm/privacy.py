@@ -11,8 +11,11 @@ consumers must not rely on being exactly sigma_dp^2.
 There is one calibration, the dimension-adjusted budget of
 :func:`calibrate`: epsilon(p) = 2p * epsilon0 under the binary-Gram
 sensitivity delta_f = 2p, so the noise SD depends on epsilon0 and delta
-only.  :func:`privatize` perturbs every entry, or only the entries that
-touch a given set of sensitive design columns.
+only.  :func:`privatize` releases a whole summary set in one call.  It
+perturbs every entry, or only the entries that touch a given set of
+sensitive design columns.  Each site's noise comes from its own stream,
+keyed by (seed, site id), so the stream layout is part of the released
+bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .summaries import SiteSummary
+from .summaries import FederatedSummarySet
 
 
 def gaussian_sigma(delta_f: float, epsilon: float, delta: float) -> float:
@@ -108,49 +111,46 @@ def gaussian_mechanism(matrix: np.ndarray, budget: PrivacyBudget, rng_seed: int)
 
 
 def privatize(
-    summary: SiteSummary,
+    summaries: FederatedSummarySet,
     budget: PrivacyBudget,
     sensitive: frozenset[int] = frozenset(),
     rng_seed: int = 0,
-) -> SiteSummary:
-    """Release a privatized copy of a site summary.
+) -> FederatedSummarySet:
+    """Release a privatized copy of every site of a summary set.
 
-    Draws independent symmetric Gaussian noise for S and T.  With no
-    ``sensitive`` columns every entry is perturbed.  Otherwise only
-    entries whose row or column indexes a sensitive design column (1..p;
-    block 0 is the outcome) are perturbed; the outcome-by-sensitive
+    Draws independent symmetric Gaussian noise for each site's S and T.
+    With no ``sensitive`` columns every entry is perturbed.  Otherwise
+    only entries whose row or column indexes a sensitive design column
+    (1..p; block 0 is the outcome) are perturbed; the outcome-by-sensitive
     crossings are included, everything among non-sensitive columns and
     the y*y cell stays untouched bitwise.
 
-    A summary can be privatized once; there is no composition accounting.
+    Each site draws S's noise, then T's, from its own stream, keyed by
+    (``rng_seed``, site id): a site's release does not depend on the
+    other sites of the set, nor on their order.  That stream layout is
+    part of the released bytes.
+
+    A site can be privatized once: there is no composition accounting, so a
+    set that holds a privatized site is refused.
     """
-    if summary.privatized:
+    if summaries.any_privatized:
+        site_id = summaries.site_ids[summaries.privatized.index(True)]
         raise ValidationError(
-            f"site {summary.site_id!r} is already privatized; "
+            f"site {site_id!r} is already privatized; "
             "repeated release would need budget composition accounting"
         )
-    d = summary.p + 1
-    bad = [j for j in sensitive if not (1 <= j <= summary.p)]
+    d = summaries.p + 1
+    bad = [j for j in sensitive if not (1 <= j <= summaries.p)]
     if bad:
-        raise ValidationError(f"sensitive indices {bad} outside 1..{summary.p}")
+        raise ValidationError(f"sensitive indices {bad} outside 1..{summaries.p}")
 
-    rng = _site_stream(rng_seed, summary.site_id)
-    u1 = rng.normal(0.0, budget.sigma_dp, size=(d, d))
-    u2 = rng.normal(0.0, budget.sigma_dp, size=(d, d))
-    u1 = (u1 + u1.T) / 2.0
-    u2 = (u2 + u2.T) / 2.0
+    U = np.array([_site_stream(rng_seed, sid).normal(0.0, budget.sigma_dp, size=(2, d, d))
+                  for sid in summaries.site_ids])
+    U = (U + U.swapaxes(-1, -2)) / 2.0
     if sensitive:
         touches = np.zeros(d, dtype=bool)
-        for j in sensitive:
-            touches[j] = True
-        mask = (touches[:, None] | touches[None, :]).astype(float)
-        u1 = u1 * mask
-        u2 = u2 * mask
-    return SiteSummary(
-        site_id=summary.site_id,
-        n=summary.n,
-        S=summary.S + u1,
-        T=summary.T + u2,
-        privatized=True,
-        budget_used=budget,
-    )
+        touches[list(sensitive)] = True
+        U = U * (touches[:, None] | touches[None, :]).astype(float)
+    K = summaries.K
+    return FederatedSummarySet(summaries.site_ids, summaries.n, summaries.S + U[:, 0],
+                               summaries.T + U[:, 1], (True,) * K, (budget,) * K)

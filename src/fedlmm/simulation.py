@@ -182,9 +182,7 @@ def _estimate(summaries, record, correction: str, perturbs, budget, noise_seed):
     """
     try:
         if perturbs is not None:
-            summaries = merge_summaries(
-                [privatize(s, budget, sensitive=perturbs, rng_seed=noise_seed) for s in summaries]
-            )
+            summaries = privatize(summaries, budget, sensitive=perturbs, rng_seed=noise_seed)
         fit = fit_ml(summaries)
         v = cr0(summaries, fit.theta_hat)
     except (FedLMMError, np.linalg.LinAlgError):

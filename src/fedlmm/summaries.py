@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,13 +40,6 @@ _BLOCK_BITS = 11
 _STRUCTURE_RTOL = 1e-8
 
 
-def _as_float_matrix(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    return arr
-
-
 @dataclass(frozen=True)
 class SiteData:
     """Raw per-site data; never leaves the site (oracle/simulation side only)."""
@@ -57,7 +50,9 @@ class SiteData:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).reshape(-1)
-        X = _as_float_matrix(self.X, "X")
+        X = np.asarray(self.X, dtype=float)
+        if X.ndim != 2:
+            raise ValidationError(f"X must be a 2-D matrix, got ndim={X.ndim}")
         if y.shape[0] < 1:
             raise ValidationError(f"site {self.site_id!r}: needs at least one row")
         if X.shape[1] < 1:
@@ -94,23 +89,8 @@ class SiteSummary:
     budget_used: object | None = None  # privacy.PrivacyBudget when privatized
 
     def __post_init__(self):
-        S = _as_float_matrix(self.S, "S")
-        T = _as_float_matrix(self.T, "T")
-        if self.n < 1:
-            raise ValidationError(f"site {self.site_id!r}: n must be >= 1")
-        d = S.shape[0]
-        if S.shape != (d, d) or T.shape != (d, d) or d < 2:
-            raise ValidationError(
-                f"site {self.site_id!r}: S and T must both be square (p+1)x(p+1) with p >= 1"
-            )
-        if not (np.isfinite(S).all() and np.isfinite(T).all()):
-            raise ValidationError(f"site {self.site_id!r}: non-finite summary entries")
-        if not (np.array_equal(S, S.T) and np.array_equal(T, T.T)):
-            raise ValidationError(f"site {self.site_id!r}: S and T must be exactly symmetric")
-        S.setflags(write=False)
-        T.setflags(write=False)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
+        _, S, T = _checked_stacks((self.site_id,), [self.n], [self.S], [self.T])
+        self.__dict__.update(S=S[0], T=T[0])
 
     @property
     def p(self) -> int:
@@ -135,6 +115,31 @@ class SiteSummary:
         rank1 = w[-1] * np.outer(v[:, -1], v[:, -1])
         if np.abs(self.T - rank1).max() > _STRUCTURE_RTOL * tscale:
             raise ValidationError(f"site {self.site_id!r}: T is not rank one")
+
+
+def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
+    """(n, S, T) of the sites ``ids`` as read-only stacks, checked.
+
+    n must have shape (K,) and S and T shape (K, p+1, p+1) with p >= 1;
+    each n_k must be >= 1, and each S_k and T_k finite and exactly
+    symmetric.  An error names the first site that fails a check.
+    """
+    n, S, T = np.array(n), np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    K, d = len(ids), S.shape[-1] if S.ndim else 0
+    if n.shape != (K,) or S.shape != (K, d, d) or T.shape != S.shape or d < 2:
+        raise ValidationError(f"site {ids[0]!r}: S and T must both be square (p+1)x(p+1) "
+                              "with p >= 1, one n, S and T per site")
+    if not (n >= 1).all():
+        raise ValidationError(f"site {ids[int((n >= 1).argmin())]!r}: n must be >= 1")
+    ST = np.concatenate((S, T))  # one copy: S is its first K sites, T the rest
+    for ok, message in ((np.isfinite(ST), "non-finite summary entries"),
+                        (ST == ST.swapaxes(1, 2), "S and T must be exactly symmetric")):
+        if not ok.all():
+            k = ok.reshape(2, K, -1).all(axis=(0, 2)).argmin()  # the first site that fails
+            raise ValidationError(f"site {ids[k]!r}: {message}")
+    n.setflags(write=False)
+    ST.setflags(write=False)
+    return n, ST[:K], ST[K:]
 
 
 def _exact_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray) -> list[float]:
@@ -205,68 +210,73 @@ def compute_summary(data: SiteData) -> SiteSummary:
     return SiteSummary(site_id=data.site_id, n=data.n, S=S, T=T, privatized=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FederatedSummarySet:
-    """Ordered collection of compatible site summaries.
+    """The summaries of K sites in order, as read-only stacks checked once.
 
-    Per-site identity is preserved: the likelihood needs each n_k, never
-    just the pooled sums.
+    n is (K,), S and T are (K, p+1, p+1), and ``set[k]`` is site k's
+    :class:`SiteSummary`.  The likelihood needs each n_k, never just the
+    pooled sums.
     """
 
-    summaries: tuple[SiteSummary, ...]
+    site_ids: tuple[str, ...]
+    n: np.ndarray
+    S: np.ndarray
+    T: np.ndarray
+    privatized: tuple[bool, ...]  # per site
+    budget_used: tuple  # per site: privacy.PrivacyBudget or None
 
     def __post_init__(self):
-        if not self.summaries:
+        ids = tuple(self.site_ids)
+        if not ids:
             raise ValidationError("summary set must contain at least one site")
-        p = self.summaries[0].p
-        seen: set[str] = set()
-        for s in self.summaries:
-            if s.p != p:
-                raise ValidationError(
-                    f"dimension mismatch: site {s.site_id!r} has p={s.p}, expected p={p}"
-                )
-            if s.site_id in seen:
-                raise ValidationError(f"duplicate site_id {s.site_id!r}")
-            seen.add(s.site_id)
-        object.__setattr__(self, "summaries", tuple(self.summaries))
+        if len(set(ids)) < len(ids):
+            raise ValidationError(f"duplicate site_id {next(s for s in ids if ids.count(s) > 1)!r}")
+        n, S, T = _checked_stacks(ids, self.n, self.S, self.T)
+        if not len(self.privatized) == len(self.budget_used) == len(ids):
+            raise ValidationError(f"site {ids[0]!r}: one privatized flag and budget per site")
+        self.__dict__.update(site_ids=ids, n=n, S=S, T=T, privatized=tuple(self.privatized),
+                             budget_used=tuple(self.budget_used))
 
     def __len__(self) -> int:
-        return len(self.summaries)
+        return len(self.site_ids)
 
-    def __iter__(self) -> Iterator[SiteSummary]:
-        return iter(self.summaries)
+    def __getitem__(self, k: int) -> SiteSummary:
+        site = object.__new__(SiteSummary)  # a row of a checked stack: no second check
+        site.__dict__.update(site_id=self.site_ids[k], n=self.n[k].item(), S=self.S[k], T=self.T[k],
+                             privatized=self.privatized[k], budget_used=self.budget_used[k])
+        return site
 
-    def __getitem__(self, i) -> SiteSummary:
-        return self.summaries[i]
-
-    @property
-    def K(self) -> int:
-        return len(self.summaries)
+    K = property(__len__)
 
     @property
     def p(self) -> int:
-        return self.summaries[0].p
+        return self.S.shape[2] - 1
 
     @property
     def N(self) -> int:
-        return sum(s.n for s in self.summaries)
+        return int(self.n.sum())
 
     @property
     def any_privatized(self) -> bool:
-        return any(s.privatized for s in self.summaries)
-
-    def stacked(self) -> dict[str, np.ndarray]:
-        """Dense stacks used by the likelihood kernels: shape (K, ...) arrays."""
-        return {
-            "n": np.array([s.n for s in self.summaries], dtype=float),
-            "S": np.stack([s.S for s in self.summaries]),
-            "T": np.stack([s.T for s in self.summaries]),
-        }
+        return any(self.privatized)
 
 
 def merge_summaries(summaries: Sequence[SiteSummary]) -> FederatedSummarySet:
-    """Collect per-site summaries into one validated, ordered set."""
-    return FederatedSummarySet(summaries=tuple(summaries))
+    """Stack per-site summaries, all of one dimension p, into one ordered set."""
+    for s in summaries:
+        if s.p != summaries[0].p:
+            raise ValidationError(
+                f"dimension mismatch: site {s.site_id!r} has p={s.p}, expected p={summaries[0].p}"
+            )
+    return FederatedSummarySet(
+        site_ids=[s.site_id for s in summaries],
+        n=[s.n for s in summaries],
+        S=[s.S for s in summaries],
+        T=[s.T for s in summaries],
+        privatized=[s.privatized for s in summaries],
+        budget_used=[s.budget_used for s in summaries],
+    )
 
 
 @dataclass(frozen=True)

@@ -210,9 +210,11 @@ def dense_cr0_sandwich(
 
 
 def stacked_profile(summaries, sigma2: float, tau2: float, reml: bool = False):
-    """(g, beta, W_sum, Q_sum): profile objective, GLS beta and the weight sums."""
-    st = summaries.stacked()
-    n, S, T = st["n"], st["S"], st["T"]
+    """(g, beta, W_sum, Q_sum): profile objective, GLS beta and the weight sums.
+
+    Reads the set's (K,) n and (K, p+1, p+1) S and T stacks as they are.
+    """
+    n, S, T = summaries.n, summaries.S, summaries.T
     S_sum = S.sum(axis=0)
     c = tau2 / (sigma2 + n * tau2)
     W_sum = (S_sum[1:, 1:] - np.tensordot(c, T[:, 1:, 1:], axes=([0], [0]))) / sigma2

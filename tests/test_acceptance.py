@@ -140,6 +140,7 @@ def test_criterion_3_gaussian_calibration(rng):
     draws = 100_000
     X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     base = compute_summary(SiteData(site_id="cal", y=np.array([0.5, -1.0, 2.0]), X=X))
+    base_set = merge_summaries([base])
     for eps0 in (2.0, 8.0):
         budget = calibrate(eps0, delta=0.01, p=3)
         d = base.p + 1
@@ -147,8 +148,8 @@ def test_criterion_3_gaussian_calibration(rng):
         diag = np.empty(draws)
         off = np.empty(draws)
         for i in range(draws):
-            noisy = privatize(base, budget, rng_seed=i)
-            delta_s = noisy.S - base.S
+            noisy = privatize(base_set, budget, rng_seed=i)
+            delta_s = noisy.S[0] - base.S
             noise_sum += delta_s
             diag[i] = delta_s[1, 1]
             off[i] = delta_s[0, 2]
@@ -301,7 +302,7 @@ def test_criterion_9_dp2_masking(rng):
         base = compute_summary(SiteData(site_id=f"m{trial}", y=rng.normal(size=n), X=X))
         size = int(rng.integers(1, p + 1))
         sensitive = frozenset(int(j) for j in rng.choice(np.arange(1, p + 1), size, replace=False))
-        noisy = privatize(base, budget, sensitive=sensitive, rng_seed=trial)
+        noisy = privatize(merge_summaries([base]), budget, sensitive=sensitive, rng_seed=trial)[0]
         for i, j in itertools.product(range(p + 1), repeat=2):
             touched = i in sensitive or j in sensitive
             if touched:

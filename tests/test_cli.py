@@ -14,7 +14,7 @@ import pytest
 import fedlmm
 import fedlmm.cli as cli
 import fedlmm.estimator
-from fedlmm import calibrate, load_summary, privatize, save_summary
+from fedlmm import calibrate, load_summary, merge_summaries, privatize, save_summary
 from fedlmm.cli import _read_csv_columns, end_to_end, main, write_bundle_csv
 from fedlmm.summaries import SiteData, compute_summary
 
@@ -414,7 +414,7 @@ class TestPrivatizeCommand:
         assert rc == 0
         summary = load_summary(summary_files[0])
         budget = calibrate(4.0, delta=0.01, p=summary.p)
-        save_summary(privatize(summary, budget, sensitive=sensitive, rng_seed=5), want)
+        save_summary(privatize(merge_summaries([summary]), budget, sensitive=sensitive, rng_seed=5)[0], want)
         assert target.read_bytes() == want.read_bytes()
 
     def test_out_of_range_sensitive_exits_1(self, tmp_path, summary_files, capsys):
@@ -569,6 +569,23 @@ class TestSimulateCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--K", "simulate-estimation --scenario ri-mis --K {} --epsilon0 8 --reps 1"),
+    ("--epsilon0", "simulate-estimation --scenario ri-mis --K 4 --epsilon0 {} --reps 1 --arms ipd"),
+    ("--n", "simulate-reconstruction --n {} --p 2 --reps 2"),
+    ("--p", "simulate-reconstruction --n 2 --p {} --reps 2"),
+    ("--epsilon0", "simulate-reconstruction --n 2 --p 2 --epsilon0 {} --reps 2"),
+], ids=["K", "estimation-epsilon0", "n", "p", "reconstruction-epsilon0"])
+@pytest.mark.parametrize("empty", [",", " , ,"])
+def test_empty_study_grid_exits_1(tmp_path, capsys, option, argv, empty):
+    """A grid option that lists no value writes no CSV and names the option."""
+    out = tmp_path / "rows.csv"
+    args = [empty if a == "{}" else a for a in argv.split()]
+    assert run([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {option} lists no values\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, clean, messy", [
     ("summarize --csv {csv} --outcome ct --covariates {} --site-id s", "result,sex", "result,,sex,"),
     ("privatize --in {summary} --epsilon0 4 --delta 0.01 --sensitive {}", "2,3", "2, ,3,"),
@@ -661,6 +678,15 @@ class TestEndToEnd:
         end_to_end(tmp_path / "lib", seed=3)
         assert tree(tmp_path / "cli") == tree(tmp_path / "lib")
         assert len(tree(tmp_path / "cli")) == 16
+
+    def test_pipeline_tree_golden(self, tmp_path):
+        """The seed-7 tree: sha256 of its ``sha256sum`` listing, files in path order."""
+        assert run(["pipeline", "--out", str(tmp_path / "pipe"), "--seed", "7"]) == 0
+        files = sorted(tree(tmp_path / "pipe").items())
+        listing = "".join(f"{hashlib.sha256(data).hexdigest()}  ./{path}\n" for path, data in files)
+        assert len(files) == 16
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "89b10c2d832cccc03a0975f887d3ea0a2a635dc1f40041dd2c184c386113c2ef")
 
     def test_pipeline_stage_error_keeps_its_exit_code(self, tmp_path, capsys):
         assert run(["pipeline", "--out", str(tmp_path / "p"), "--epsilon0", "-1"]) == 1

@@ -42,7 +42,7 @@ def _eps2_private_summaries():
     rng = np.random.default_rng(3)
     summ = _summaries(random_sites(rng, K=20, n_range=(3, 8), p=3, tau2=0.8))
     budget = calibrate(2.0, delta=0.01, p=summ.p)
-    return merge_summaries([privatize(s, budget, rng_seed=5) for s in summ])
+    return privatize(summ, budget, rng_seed=5)
 
 
 class TestLoglikML:
@@ -149,8 +149,7 @@ class TestKernelBitIdentity:
         sites = simulation.generate(scenario, seed=11)
         study = _summaries(standardize(sites, names=scenario.design_columns)[0])
         private = [
-            merge_summaries([privatize(s, calibrate(eps0, delta=0.01, p=summ.p), rng_seed=seed)
-                             for s in summ])
+            privatize(summ, calibrate(eps0, delta=0.01, p=summ.p), rng_seed=seed)
             for eps0, seed, summ in ((4.0, 1, study), (8.0, 2, exact[2]), (16.0, 3, exact[3]))
         ]
         n = 6
@@ -244,7 +243,7 @@ class TestFitML:
         dists = []
         for eps0 in (1e2, 1e3, 1e4):
             budget = calibrate(eps0, delta=0.01, p=summ.p)
-            noisy = merge_summaries([privatize(s, budget, rng_seed=99) for s in summ])
+            noisy = privatize(summ, budget, rng_seed=99)
             fit = fit_ml(noisy)
             dists.append(np.linalg.norm(fit.theta_hat.beta - base.theta_hat.beta))
         assert dists[0] > dists[1] > dists[2]
@@ -416,6 +415,6 @@ class TestFitREML:
     def test_refuses_privatized(self, rng):
         summ = _summaries(random_sites(rng, K=3))
         budget = calibrate(8.0, delta=0.01, p=summ.p)
-        noisy = merge_summaries([privatize(s, budget, rng_seed=1) for s in summ])
+        noisy = privatize(summ, budget, rng_seed=1)
         with pytest.raises(ValidationError, match="determinant amplification"):
             fit_reml(noisy)

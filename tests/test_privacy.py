@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlmm import (
     PrivacyBudget,
@@ -11,11 +13,17 @@ from fedlmm import (
     ValidationError,
     calibrate,
     compute_summary,
-    privatize,
+    merge_summaries,
+    privacy,
     save_summary,
     sensitivity_binary_gram,
 )
 from fedlmm.attack import released_rounded_gram
+
+
+def privatize(summary, budget, sensitive=frozenset(), rng_seed=0):
+    """``summary`` released as ``fedlmm privatize`` releases it: as a one-site set."""
+    return privacy.privatize(merge_summaries([summary]), budget, sensitive, rng_seed)[0]
 
 
 class TestSensitivityBinaryGram:
@@ -85,69 +93,106 @@ def base_summary(rng):
     return compute_summary(SiteData(site_id="clinic-a", y=y, X=X))
 
 
+@pytest.fixture
+def base_set(base_summary):
+    return merge_summaries([base_summary])
+
+
 def _budget(eps0=2.0, delta=0.01, p=6):
     return calibrate(eps0, delta, p)
 
 
 class TestPrivatize:
-    def test_near_zero_noise_limit(self, base_summary):
-        noisy = privatize(base_summary, _budget(eps0=1e9), rng_seed=4)
-        assert np.abs(noisy.S - base_summary.S).max() < 1e-6
-        assert np.abs(noisy.T - base_summary.T).max() < 1e-6
-        assert noisy.privatized and noisy.budget_used is not None
+    def test_near_zero_noise_limit(self, base_set):
+        noisy = privacy.privatize(base_set, _budget(eps0=1e9), rng_seed=4)
+        assert np.abs(noisy.S - base_set.S).max() < 1e-6
+        assert np.abs(noisy.T - base_set.T).max() < 1e-6
+        assert noisy.privatized == (True,) and noisy.budget_used[0] is not None
 
-    def test_deterministic_per_seed(self, base_summary):
-        a = privatize(base_summary, _budget(), rng_seed=11)
-        b = privatize(base_summary, _budget(), rng_seed=11)
-        c = privatize(base_summary, _budget(), rng_seed=12)
+    def test_deterministic_per_seed(self, base_set):
+        a = privacy.privatize(base_set, _budget(), rng_seed=11)
+        b = privacy.privatize(base_set, _budget(), rng_seed=11)
+        c = privacy.privatize(base_set, _budget(), rng_seed=12)
         assert np.array_equal(a.S, b.S) and np.array_equal(a.T, b.T)
         assert not np.array_equal(a.S, c.S)
 
-    def test_distinct_sites_get_distinct_noise(self, base_summary, rng):
-        other = compute_summary(
+    def test_distinct_sites_get_distinct_noise(self, base_set, rng):
+        other = merge_summaries([compute_summary(
             SiteData(site_id="clinic-b", y=np.zeros(8), X=np.zeros((8, 6)) + 1.0)
-        )
-        a = privatize(base_summary, _budget(), rng_seed=11)
-        b = privatize(other, _budget(), rng_seed=11)
-        assert not np.array_equal(a.S - base_summary.S, b.S - other.S)
+        )])
+        a = privacy.privatize(base_set, _budget(), rng_seed=11)
+        b = privacy.privatize(other, _budget(), rng_seed=11)
+        assert not np.array_equal(a.S - base_set.S, b.S - other.S)
 
-    def test_exact_symmetry(self, base_summary):
-        noisy = privatize(base_summary, _budget(), rng_seed=0)
-        assert np.array_equal(noisy.S, noisy.S.T)
-        assert np.array_equal(noisy.T, noisy.T.T)
+    def test_exact_symmetry(self, base_set):
+        noisy = privacy.privatize(base_set, _budget(), rng_seed=0)
+        assert np.array_equal(noisy.S, noisy.S.swapaxes(1, 2))
+        assert np.array_equal(noisy.T, noisy.T.swapaxes(1, 2))
 
-    def test_double_privatization_rejected(self, base_summary):
-        noisy = privatize(base_summary, _budget(), rng_seed=0)
-        with pytest.raises(ValidationError, match="already privatized"):
-            privatize(noisy, _budget(), rng_seed=1)
+    def test_double_privatization_rejected(self, base_set):
+        noisy = privacy.privatize(base_set, _budget(), rng_seed=0)
+        with pytest.raises(ValidationError, match="site 'clinic-a' is already privatized"):
+            privacy.privatize(noisy, _budget(), rng_seed=1)
 
-    def test_subset_scope_masks_exactly(self, base_summary):
+    def test_subset_scope_masks_exactly(self, base_set):
         sensitive = frozenset({4, 5, 6})
-        noisy = privatize(base_summary, _budget(), sensitive=sensitive, rng_seed=3)
+        noisy = privacy.privatize(base_set, _budget(), sensitive=sensitive, rng_seed=3)
         untouched = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                      (1, 1), (2, 2), (3, 3)]
         for i, j in untouched:
-            assert noisy.S[i, j] == base_summary.S[i, j]
-            assert noisy.T[i, j] == base_summary.T[i, j]
+            assert noisy.S[0, i, j] == base_set.S[0, i, j]
+            assert noisy.T[0, i, j] == base_set.T[0, i, j]
         touched = [(0, 4), (4, 4), (1, 5), (6, 6), (2, 6)]
         for i, j in touched:
-            assert noisy.S[i, j] != base_summary.S[i, j]
+            assert noisy.S[0, i, j] != base_set.S[0, i, j]
 
-    def test_subset_rejects_out_of_range(self, base_summary):
+    def test_subset_rejects_out_of_range(self, base_set):
         with pytest.raises(ValidationError, match="sensitive"):
-            privatize(base_summary, _budget(), sensitive=frozenset({7}), rng_seed=0)
+            privacy.privatize(base_set, _budget(), sensitive=frozenset({7}), rng_seed=0)
 
-    def test_noise_scale_moderate_sample(self, base_summary):
+    def test_noise_scale_moderate_sample(self, base_set):
         budget = _budget(eps0=2.0)
         diag, off = [], []
         for seed in range(4000):
-            noisy = privatize(base_summary, budget, rng_seed=seed)
-            delta = noisy.S - base_summary.S
+            noisy = privacy.privatize(base_set, budget, rng_seed=seed)
+            delta = noisy.S[0] - base_set.S[0]
             diag.append(delta[2, 2])
             off.append(delta[0, 3])
         assert np.std(diag) == pytest.approx(budget.sigma_dp, rel=0.05)
         assert np.std(off) == pytest.approx(budget.sigma_dp / math.sqrt(2), rel=0.05)
         assert abs(np.mean(diag)) < 4 * budget.sigma_dp / math.sqrt(4000)
+
+
+def _released_bytes(released, k):
+    return (released.site_ids[k], released.n[k], released.S[k].tobytes(), released.T[k].tobytes(),
+            released.privatized[k], released.budget_used[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), K=st.integers(1, 8), p=st.integers(1, 5), seed=st.integers(0, 2**63 - 1),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_set_release_is_the_sites_own_releases(data, K, p, seed, data_seed):
+    """Site k of a set's release has the bytes of site k released alone, in any set around it.
+
+    Each site's noise comes from its own stream, so releasing a permutation
+    or a subset of the sites permutes or subsets the released S and T.
+    """
+    ids = data.draw(st.lists(st.text(min_size=1, max_size=6), min_size=K, max_size=K, unique=True))
+    sensitive = frozenset(data.draw(st.sets(st.integers(1, p))))
+    order = data.draw(st.permutations(range(K)))
+    kept = order[:data.draw(st.integers(1, K))]
+    rng = np.random.default_rng(data_seed)
+    sites = [compute_summary(SiteData(site_id=sid, y=rng.normal(size=n), X=rng.normal(size=(n, p))))
+             for sid, n in zip(ids, rng.integers(1, 7, size=K).tolist())]
+    budget = calibrate(4.0, 0.01, p)
+    released = privacy.privatize(merge_summaries(sites), budget, sensitive, seed)
+    for k, site in enumerate(sites):
+        alone = privacy.privatize(merge_summaries([site]), budget, sensitive, seed)
+        assert _released_bytes(alone, 0) == _released_bytes(released, k)
+    for subset in (order, kept):
+        again = privacy.privatize(merge_summaries([sites[k] for k in subset]), budget, sensitive, seed)
+        assert again.S.tobytes() == released.S[subset].tobytes()
+        assert again.T.tobytes() == released.T[subset].tobytes()
 
 
 class TestGoldenRelease:

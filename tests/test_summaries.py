@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedlmm import (
+    FederatedSummarySet,
     SiteData,
     ValidationError,
     compute_summary,
@@ -238,7 +239,68 @@ class TestMerge:
             for k in range(5)
         ]
         merged = merge_summaries(summaries)
-        assert list(merged) == summaries
+        for k, s in enumerate(summaries):
+            back = merged[k]
+            assert (back.site_id, back.n, back.privatized, back.budget_used) == (
+                s.site_id, s.n, s.privatized, s.budget_used)
+            assert np.array_equal(back.S, s.S) and np.array_equal(back.T, s.T)
+
+
+class TestFederatedSummarySet:
+    """Direct construction from stacks: every check names the site it refuses."""
+
+    @staticmethod
+    def _fields(rng):
+        A, s = rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3))
+        return dict(site_ids=("a", "b", "c"), n=np.array([2, 3, 4]), S=A + A.swapaxes(1, 2),
+                    T=s[:, :, None] * s[:, None, :], privatized=(False,) * 3, budget_used=(None,) * 3)
+
+    def test_stacks_and_sites(self, rng):
+        fields = self._fields(rng)
+        sset = FederatedSummarySet(**fields)
+        assert (sset.K, sset.p, sset.N, len(sset)) == (3, 2, 9, 3)
+        assert (sset.privatized, sset.budget_used, sset.any_privatized) == ((False,) * 3, (None,) * 3, False)
+        site = sset[1]
+        assert (site.site_id, site.n, site.privatized, site.budget_used) == ("b", 3, False, None)
+        assert site.S.tobytes() == fields["S"][1].tobytes() and site.T.tobytes() == fields["T"][1].tobytes()
+
+    @pytest.mark.parametrize("name, index, value, message", [
+        ("S", (1, 2, 2), np.inf, "site 'b': non-finite summary entries"),
+        ("T", (2, 0, 0), np.nan, "site 'c': non-finite summary entries"),
+        ("S", (1, 0, 1), 7.0, "site 'b': S and T must be exactly symmetric"),
+        ("T", (2, 1, 2), 7.0, "site 'c': S and T must be exactly symmetric"),
+        ("n", (1,), 0, "site 'b': n must be >= 1"),
+    ], ids=["non-finite-S", "non-finite-T", "asymmetric-S", "asymmetric-T", "n-below-1"])
+    def test_bad_entry_names_its_site(self, rng, name, index, value, message):
+        fields = self._fields(rng)
+        fields[name][index] = value
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FederatedSummarySet(**fields)
+
+    @pytest.mark.parametrize("name, value", [
+        ("T", lambda f: f["T"][:, :2, :2]),
+        ("S", lambda f: f["S"][:2]),
+        ("n", lambda f: f["n"][:2]),
+        ("privatized", lambda f: (False, False)),
+    ])
+    def test_shape_mismatch(self, rng, name, value):
+        fields = self._fields(rng)
+        fields[name] = value(fields)
+        with pytest.raises(ValidationError, match="^site 'a': "):
+            FederatedSummarySet(**fields)
+
+    def test_duplicate_site_id(self, rng):
+        with pytest.raises(ValidationError, match="duplicate site_id 'b'"):
+            FederatedSummarySet(**{**self._fields(rng), "site_ids": ("a", "b", "b")})
+
+    @pytest.mark.parametrize("name", ["n", "S", "T"])
+    def test_stacks_are_read_only(self, rng, name):
+        fields = self._fields(rng)
+        sset = FederatedSummarySet(**fields)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sset, name)[0] = 1
+        fields[name][0] = 1  # the set holds copies: the caller's arrays stay writable
+        assert getattr(sset, name)[0].tobytes() != fields[name][0].tobytes()
 
 
 class TestStandardize:
