@@ -23,13 +23,17 @@ The profiled search is used whenever that deviance is well posed: on a
 log-gamma grid that includes gamma = 0, every sum_k W_k is positive
 definite and within the condition limit, and the pooled quadratic is
 positive.  The search walks down the grid from the variance ratios of
-the 2-D search's starting points, refines the local minimum it reaches
-with a bounded Brent search, and keeps the gamma = 0 edge on a tie.
-Every other fit is maximized by derivative-free Nelder-Mead on
-(log sigma2, softplus^-1 tau2), with an explicit scan of the tau2 = 0
-edge: noisy summaries whose profile is not well posed, an optimum at the
-top of the grid or outside the search box, and a point the refinement
-finds ill posed.
+the 2-D search's starting points and refines each local minimum it
+reaches with a bounded Brent search.  Every other fit is maximized by
+derivative-free Nelder-Mead on (log sigma2, softplus^-1 tau2), with an
+explicit scan of the tau2 = 0 edge: noisy summaries whose profile is not
+well posed, an optimum at the top of the grid or outside the search box,
+and a point the refinement finds ill posed.
+
+Both searches share one search box (``_SearchSpace``), one rule by which
+the tau2 = 0 edge wins a tie (``_edge_wins``), and one evaluation budget,
+``_MAX_EVALS`` per Nelder-Mead start and per Brent refinement; ``_fit``
+turns the result of either into the ``FitResult``.
 
 The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout.
 """
@@ -69,7 +73,8 @@ _TAU2_MAX_FACTOR = 1e8
 # Nelder-Mead stopping rules; _PARAM_TOL is also the Brent tolerance in log(tau2/sigma2).
 _OBJECTIVE_TOL = 1e-10
 _PARAM_TOL = 1e-8
-# Evaluation budget of each search; a fit that exhausts it is not converged.
+# Evaluation budget of each Nelder-Mead start and each Brent refinement; a fit
+# whose search exhausts it is not converged.
 _MAX_EVALS = 2000
 # Largest cond(sum_k W_k) at which beta is still solved for.
 _COND_LIMIT = 1e12
@@ -167,13 +172,6 @@ class _Kernel:
         quad = float(v @ M @ v) / sigma2
         return -0.5 * (self._logdet(sigma2, denom) + quad)
 
-    def weight_sums(self, sigma2: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_k W_k and sum_k Q_k at the shrinkages c = ``shrink(sigma2, tau2)[0]``."""
-        txx_c = np.dot(c.reshape(1, -1), self.txx_flat).reshape(self.p, self.p)
-        W_sum = (self.sxx_sum - txx_c) / sigma2
-        Q_sum = (self.sxy_sum - c @ self.txy) / sigma2
-        return W_sum, Q_sum
-
     def per_site_weights(self, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray]:
         c, _ = self.shrink(sigma2, tau2)
         W = (self.S_full[:, 1:, 1:] - c[:, None, None] * self.txx) / sigma2
@@ -186,10 +184,12 @@ class _Kernel:
     def _profile_beta(
         self, sigma2: float, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        W_sum, Q_sum = self.weight_sums(sigma2, c)
+        """beta solving sum_k W_k beta = sum_k Q_k at the shrinkages c, and both sums."""
+        txx_c = np.dot(c.reshape(1, -1), self.txx_flat).reshape(self.p, self.p)
+        W_sum = (self.sxx_sum - txx_c) / sigma2
+        Q_sum = (self.sxy_sum - c @ self.txy) / sigma2
         require_well_conditioned(W_sum, "aggregated weight matrix")
-        beta = np.linalg.solve(W_sum, Q_sum)
-        return beta, W_sum, Q_sum
+        return np.linalg.solve(W_sum, Q_sum), W_sum, Q_sum
 
     def profile_value(
         self, sigma2: float, tau2: float, reml: bool = False
@@ -233,7 +233,7 @@ class _Kernel:
 
 
 class _IllPosed(Exception):
-    """The profiled deviance is undefined at a gamma the search needs."""
+    """The profiled search does not apply: an ill-posed gamma, or an optimum off the grid or box."""
 
 
 def _check_theta_domain(sigma2: float, tau2: float) -> None:
@@ -301,9 +301,11 @@ class _SearchSpace:
             with np.errstate(over="ignore"):
                 sigma2 = float(np.exp(u[0]))
         tau2 = float(np.logaddexp(0.0, u[1])) if u.shape[0] > 1 else 0.0  # softplus
-        if not (self.sigma2_lo <= sigma2 <= self.sigma2_hi) or tau2 > self.tau2_hi:
-            return None
-        return sigma2, tau2
+        return (sigma2, tau2) if self.contains(sigma2, tau2) else None
+
+    def contains(self, sigma2: float, tau2: float) -> bool:
+        """Whether (sigma2, tau2) lies in the box; a NaN coordinate does not."""
+        return self.sigma2_lo <= sigma2 <= self.sigma2_hi and tau2 <= self.tau2_hi
 
 
 def _search_space(kernel: _Kernel) -> _SearchSpace:
@@ -315,34 +317,31 @@ def _search_space(kernel: _Kernel) -> _SearchSpace:
     )
 
 
+def _edge_wins(edge_value: float, best_value: float) -> bool:
+    """Whether the tau2 = 0 edge ties or beats the best interior objective, within 1e-10 relative."""
+    return edge_value >= best_value - 1e-10 * (1.0 + abs(edge_value))
+
+
 # log(gamma) grid of the profiled search; gamma = 0 is evaluated as well.
 _LOG_GAMMA = np.arange(-16.0, 10.25, 0.5)
 # tau2/sigma2 at the starting points of the 2-D search, in its order.
 _START_RATIOS = (1.0, 1.0 / 9.0, 10.0 / 3.0)
 
 
-def _profiled_search(
-    kernel: _Kernel, reml: bool
-) -> tuple[float, float, float, bool, int, bool] | None:
-    """Minimize the profiled deviance in gamma; None when it is not well posed.
+def _profiled_search(kernel: _Kernel, reml: bool) -> tuple[float, float, float, bool, int, bool]:
+    """Minimize the profiled deviance in gamma; _IllPosed when it does not apply.
 
-    The grid is always evaluated; ``_MAX_EVALS`` bounds the grid plus the
-    Brent refinements, and a fit whose budget runs out is not converged.
+    The grid is always evaluated.  Each Brent refinement may take
+    ``_MAX_EVALS`` iterations, and the fit is converged when every
+    refinement is; the gamma = 0 edge wins a tie by ``_edge_wins``.
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
     from scipy import optimize  # imported on first use, to keep `import fedlmm` light
 
     gammas = np.concatenate(([0.0], np.exp(_LOG_GAMMA)))
-    try:
-        grid, grid_quad = kernel.grid_deviance(gammas, reml)
-    except _IllPosed:
-        return None
-    n_evals = len(gammas)
-    budget = _MAX_EVALS - n_evals
-    converged = budget > 0
+    grid, grid_quad = kernel.grid_deviance(gammas, reml)
     dev = grid[1:]
-    best = None  # (deviance, log gamma)
-    refined = set()
+    minima = []  # the local grid minima reached, each once, in walk order
     for ratio in _START_RATIOS:
         i = int(np.abs(_LOG_GAMMA - np.log(ratio)).argmin())
         while True:  # walk down to the local grid minimum
@@ -351,27 +350,21 @@ def _profiled_search(
                 break
             i = j
         if i == len(dev) - 1:
-            return None  # still falling at the top of the grid
-        if i in refined:
-            continue
-        refined.add(i)
-        found = (dev[i], _LOG_GAMMA[i])
-        if budget > 0:
-            try:
-                res = optimize.minimize_scalar(
-                    lambda t: kernel.grid_deviance(np.exp([t]), reml)[0][0],
-                    bounds=(_LOG_GAMMA[max(i - 1, 0)], _LOG_GAMMA[i + 1]),
-                    method="bounded",
-                    options={"xatol": _PARAM_TOL, "maxiter": budget},
-                )
-            except _IllPosed:
-                return None
-            n_evals += res.nfev
-            budget -= res.nfev
-            converged = converged and bool(res.success)
-            found = (res.fun, res.x)
-        if best is None or found[0] < best[0]:
-            best = found
+            raise _IllPosed  # still falling at the top of the grid
+        if i not in minima:
+            minima.append(i)
+    refined = [
+        optimize.minimize_scalar(
+            lambda t: kernel.grid_deviance(np.exp([t]), reml)[0][0],
+            bounds=(_LOG_GAMMA[max(i - 1, 0)], _LOG_GAMMA[i + 1]),
+            method="bounded",
+            options={"xatol": _PARAM_TOL, "maxiter": _MAX_EVALS},
+        )
+        for i in minima
+    ]
+    n_evals = len(gammas) + sum(res.nfev for res in refined)
+    converged = all(res.success for res in refined)
+    best = min(refined, key=lambda res: res.fun)  # the first on a tie
 
     m = kernel.N - kernel.p if reml else kernel.N
 
@@ -379,18 +372,17 @@ def _profiled_search(
         return -0.5 * (deviance + m * (1.0 - np.log(m)))
 
     edge_value = to_value(grid[0])
-    if best is None or edge_value >= to_value(best[0]) - 1e-10 * (1.0 + abs(edge_value)):
+    if _edge_wins(edge_value, to_value(best.fun)):
         gamma, quad, value, boundary = 0.0, grid_quad[0], edge_value, True
     else:
-        gamma = float(np.exp(best[1]))
+        gamma = float(np.exp(best.x))
         d, q = kernel.grid_deviance(np.array([gamma]), reml)  # well posed: already evaluated
         n_evals += 1
         quad, value, boundary = q[0], to_value(d[0]), False
     sigma2 = float(quad / m)
     tau2 = gamma * sigma2
-    space = _search_space(kernel)
-    if not (space.sigma2_lo <= sigma2 <= space.sigma2_hi and tau2 <= space.tau2_hi):
-        return None
+    if not _search_space(kernel).contains(sigma2, tau2):
+        raise _IllPosed
     return sigma2, tau2, float(value), converged, n_evals, boundary
 
 
@@ -450,28 +442,9 @@ def _nelder_mead_search(
 
     if best is None and edge is None:
         raise SingularDesignError("profile objective unusable over the whole search box")
-    boundary = best is None or (
-        edge is not None and edge[0] >= best[0] - 1e-10 * (1.0 + abs(edge[0]))
-    )
+    boundary = best is None or (edge is not None and _edge_wins(edge[0], best[0]))
     value, sigma2, tau2, success = edge if boundary else best
     return sigma2, tau2, value, success, n_evals, boundary
-
-
-def _finalize(
-    kernel: _Kernel, method: str, search: str, sigma2: float, tau2: float, value: float,
-    converged: bool, n_evals: int, boundary: bool,
-) -> FitResult:
-    beta, _, _ = kernel.profile_beta(sigma2, tau2)
-    theta = Theta(beta=beta, sigma2=sigma2, tau2=tau2)
-    return FitResult(
-        theta_hat=theta,
-        objective=float(value),
-        method=method,
-        converged=bool(converged and np.isfinite(value)),
-        iterations=int(n_evals),
-        boundary_tau=bool(boundary),
-        search=search,
-    )
 
 
 def _fit(summaries: FederatedSummarySet, reml: bool) -> FitResult:
@@ -479,10 +452,21 @@ def _fit(summaries: FederatedSummarySet, reml: bool) -> FitResult:
     if summaries.K < 2:
         raise ValidationError(f"{method} fit needs at least 2 sites")
     kernel = _Kernel(summaries)
-    found = _profiled_search(kernel, reml)
-    if found is not None:
-        return _finalize(kernel, method, "profile", *found)
-    return _finalize(kernel, method, "nelder-mead", *_nelder_mead_search(kernel, reml))
+    try:
+        search, found = "profile", _profiled_search(kernel, reml)
+    except _IllPosed:
+        search, found = "nelder-mead", _nelder_mead_search(kernel, reml)
+    sigma2, tau2, value, converged, n_evals, boundary = found  # value is finite
+    beta, _, _ = kernel.profile_beta(sigma2, tau2)
+    return FitResult(
+        theta_hat=Theta(beta=beta, sigma2=sigma2, tau2=tau2),
+        objective=float(value),
+        method=method,
+        converged=bool(converged),
+        iterations=int(n_evals),
+        boundary_tau=bool(boundary),
+        search=search,
+    )
 
 
 def fit_ml(summaries: FederatedSummarySet) -> FitResult:

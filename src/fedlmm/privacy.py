@@ -140,7 +140,8 @@ def privatize(
             "repeated release would need budget composition accounting"
         )
     d = summaries.p + 1
-    bad = [j for j in sensitive if not (1 <= j <= summaries.p)]
+    bad = [j for j in sensitive if isinstance(j, (bool, np.bool_))
+           or not isinstance(j, (int, np.integer)) or not 1 <= j <= summaries.p]
     if bad:
         raise ValidationError(f"sensitive indices {bad} outside 1..{summaries.p}")
 

@@ -13,6 +13,7 @@ run serially, in parallel, or in any order.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -256,11 +257,6 @@ def _metric_row(scenario, arm, eps, replicate, correction, estimate, reference) 
     )
 
 
-def _replicate_batch(args) -> list[MetricRow]:
-    scenario, grid, seed, reps, correction, arms = args
-    return [row for r in reps for row in one_replicate(scenario, grid, seed, r, correction, arms)]
-
-
 def run_estimation_study(
     scenario: Scenario,
     epsilon0_grid: Sequence[float],
@@ -283,17 +279,15 @@ def run_estimation_study(
     for eps in epsilon0_grid:
         calibrate(float(eps), delta=0.5, p=p)
     correction_factor(correction, scenario.K, N=p + 1, p=p)
-    batches = min(max(workers, 1), reps)
-    args = [
-        (scenario, tuple(epsilon0_grid), seed, range(i, reps, batches), correction, tuple(arms))
-        for i in range(batches)
-    ]
-    if batches == 1:
-        results = map(_replicate_batch, args)
+    task = functools.partial(one_replicate, scenario, tuple(epsilon0_grid), seed,
+                             correction=correction, arms=tuple(arms))
+    workers = min(max(workers, 1), reps)
+    if workers == 1:
+        results = map(task, range(reps))
     else:
-        with ProcessPoolExecutor(max_workers=batches) as pool:
-            results = list(pool.map(_replicate_batch, args))
-    rows = [row for batch in results for row in batch]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, range(reps), chunksize=math.ceil(reps / workers)))
+    rows = [row for replicate in results for row in replicate]
     rows.sort(key=lambda r: (r.replicate, ARMS.index(r.arm), r.epsilon0 if r.epsilon0 is not None else -1.0))
     return rows
 

@@ -121,14 +121,19 @@ def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
     """(n, S, T) of the sites ``ids`` as read-only stacks, checked.
 
     n must have shape (K,) and S and T shape (K, p+1, p+1) with p >= 1;
-    each n_k must be >= 1, and each S_k and T_k finite and exactly
-    symmetric.  An error names the first site that fails a check.
+    each n_k must be an integer (not a bool) >= 1, and each S_k and T_k
+    finite and exactly symmetric.  An error names the first site that
+    fails a check.
     """
-    n, S, T = np.array(n), np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    n, S, T = np.array(n, dtype=object), np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     K, d = len(ids), S.shape[-1] if S.ndim else 0
     if n.shape != (K,) or S.shape != (K, d, d) or T.shape != S.shape or d < 2:
         raise ValidationError(f"site {ids[0]!r}: S and T must both be square (p+1)x(p+1) "
                               "with p >= 1, one n, S and T per site")
+    for site_id, n_k in zip(ids, n):
+        if isinstance(n_k, (bool, np.bool_)) or not isinstance(n_k, (int, np.integer)):
+            raise ValidationError(f"site {site_id!r}: n must be an integer, got {n_k}")
+    n = np.array(n.tolist())
     if not (n >= 1).all():
         raise ValidationError(f"site {ids[int((n >= 1).argmin())]!r}: n must be >= 1")
     ST = np.concatenate((S, T))  # one copy: S is its first K sites, T the rest

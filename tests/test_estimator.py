@@ -325,14 +325,17 @@ class TestFitML:
         # 7's SE blow-up.  The digits on that ridge depend on the BLAS build,
         # so the recorded values are checked loosely and the unchanged path
         # bit for bit against a direct call on this machine.
-        from fedlmm.estimator import _finalize, _Kernel, _nelder_mead_search
+        from fedlmm.estimator import _Kernel, _nelder_mead_search
 
         noisy = _eps2_private_summaries()
         fit = fit_ml(noisy)
         assert fit.search == "nelder-mead" and fit.converged
         kernel = _Kernel(noisy)
-        direct = _finalize(kernel, "ML", "nelder-mead", *_nelder_mead_search(kernel, reml=False))
-        assert fit.to_dict() == direct.to_dict()
+        sigma2, tau2, value, converged, n_evals, boundary = _nelder_mead_search(kernel, reml=False)
+        beta, _, _ = kernel.profile_beta(sigma2, tau2)
+        assert fit.theta_hat.beta.tobytes() == beta.tobytes()
+        assert (fit.theta_hat.sigma2, fit.theta_hat.tau2, fit.objective) == (sigma2, tau2, value)
+        assert (fit.converged, fit.iterations, fit.boundary_tau) == (converged, n_evals, boundary)
         np.testing.assert_allclose(
             fit.theta_hat.beta, [148194424727.00513, -7405299450.560916, 3650260829.2302136], rtol=1e-2
         )

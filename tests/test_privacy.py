@@ -150,6 +150,12 @@ class TestPrivatize:
         with pytest.raises(ValidationError, match="sensitive"):
             privacy.privatize(base_set, _budget(), sensitive=frozenset({7}), rng_seed=0)
 
+    @pytest.mark.parametrize("index", [1.5, True, np.float64(2.0), np.bool_(True), "1"],
+                             ids=["float", "bool", "numpy-float", "numpy-bool", "str"])
+    def test_subset_rejects_non_integer_index(self, base_set, index):
+        with pytest.raises(ValidationError, match=r"^sensitive indices \[.*\] outside 1\.\.6$"):
+            privacy.privatize(base_set, _budget(), sensitive=frozenset({index, 2}), rng_seed=0)
+
     def test_noise_scale_moderate_sample(self, base_set):
         budget = _budget(eps0=2.0)
         diag, off = [], []

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from fedlmm import (
     FederatedSummarySet,
     SiteData,
+    SiteSummary,
     ValidationError,
     compute_summary,
     load_summary,
@@ -198,7 +199,22 @@ def test_permutation_invariance(rng):
     np.testing.assert_allclose(a.T, b.T, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"],
+                         ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "str"])
+def test_site_summary_n_must_be_an_integer(n):
+    S = np.eye(2)
+    with pytest.raises(ValidationError, match=f"^site 'a': n must be an integer, got {n}$"):
+        SiteSummary(site_id="a", n=n, S=S, T=S)
+
+
 class TestMerge:
+    def test_non_integer_n_is_refused(self, rng):
+        a, b = (compute_summary(SiteData(site_id=s, y=rng.normal(size=3), X=rng.normal(size=(3, 2))))
+                for s in "ab")
+        object.__setattr__(b, "n", 2.5)  # a site that bypassed its own check
+        with pytest.raises(ValidationError, match="^site 'b': n must be an integer, got 2.5$"):
+            merge_summaries([a, b])
+
     def test_two_sites(self, rng):
         sites = [
             SiteData(site_id=f"s{k}", y=rng.normal(size=3), X=rng.normal(size=(3, 2)))
@@ -276,6 +292,19 @@ class TestFederatedSummarySet:
         fields[name][index] = value
         with pytest.raises(ValidationError, match=f"^{message}$"):
             FederatedSummarySet(**fields)
+
+    @pytest.mark.parametrize("n, message", [
+        ([2, 2.5, 4], "site 'b': n must be an integer, got 2.5"),
+        (np.array([2.0, 3.0, 4.0]), "site 'a': n must be an integer, got 2.0"),
+        ([2, 3, True], "site 'c': n must be an integer, got True"),
+    ], ids=["float", "float-stack", "bool"])
+    def test_non_integer_n_names_its_site(self, rng, n, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FederatedSummarySet(**{**self._fields(rng), "n": n})
+
+    def test_integer_n_of_any_integer_type(self, rng):
+        sset = FederatedSummarySet(**{**self._fields(rng), "n": [2, np.int32(3), np.uint8(4)]})
+        assert sset.N == 9 and sset[1].n == 3 and type(sset[1].n) is int
 
     @pytest.mark.parametrize("name, value", [
         ("T", lambda f: f["T"][:, :2, :2]),
