@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .summaries import FederatedSummarySet
+from .summaries import FederatedSummarySet, is_integer
 
 
 def gaussian_sigma(delta_f: float, epsilon: float, delta: float) -> float:
@@ -140,8 +140,7 @@ def privatize(
             "repeated release would need budget composition accounting"
         )
     d = summaries.p + 1
-    bad = [j for j in sensitive if isinstance(j, (bool, np.bool_))
-           or not isinstance(j, (int, np.integer)) or not 1 <= j <= summaries.p]
+    bad = [j for j in sensitive if not (is_integer(j) and 1 <= j <= summaries.p)]
     if bad:
         raise ValidationError(f"sensitive indices {bad} outside 1..{summaries.p}")
 

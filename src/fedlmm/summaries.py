@@ -117,6 +117,11 @@ class SiteSummary:
             raise ValidationError(f"site {self.site_id!r}: T is not rank one")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
 def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
     """(n, S, T) of the sites ``ids`` as read-only stacks, checked.
 
@@ -131,7 +136,7 @@ def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
         raise ValidationError(f"site {ids[0]!r}: S and T must both be square (p+1)x(p+1) "
                               "with p >= 1, one n, S and T per site")
     for site_id, n_k in zip(ids, n):
-        if isinstance(n_k, (bool, np.bool_)) or not isinstance(n_k, (int, np.integer)):
+        if not is_integer(n_k):
             raise ValidationError(f"site {site_id!r}: n must be an integer, got {n_k}")
     n = np.array(n.tolist())
     if not (n >= 1).all():

@@ -3,13 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-# `pytest --hypothesis-profile=ci` prints a @reproduce_failure blob for a
-# failing property; the search itself is the default one.
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture
