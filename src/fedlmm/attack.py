@@ -10,7 +10,11 @@ Rows of X are exchangeable in G, so searching over pattern multiplicities
 (counts) instead of per-row assignments is equivalent up to row
 permutation, which the evaluation metric ignores anyway.  The solver is a
 depth-first branch-and-bound over the 2^p patterns, visited in descending
-popcount order so that diagonal budgets prune early.
+popcount order so that diagonal budgets prune early.  Before it expands a
+node, the exact search checks the pairwise bounds every binary n-row Gram
+meets: entries >= 0, G_jj <= n, G_jk <= min(G_jj, G_kk) and
+G_jj + G_kk - G_jk <= n (Frechet).  A noisy Gram that fails one has no
+solution, so it goes straight to the repair.
 
 When rounding noise makes the instance infeasible, the attacker clamps
 the Gram into the ranges a binary design can have (``clamp_gram``) and
@@ -94,6 +98,23 @@ def _patterns(p: int) -> np.ndarray:
     return bits[order]
 
 
+def _binary_gram_bounds_hold(gram: np.ndarray, n: int) -> bool:
+    """Whether ``gram`` meets the pairwise bounds every binary n-row Gram meets.
+
+    Columns j and k of such a design mark row sets A_j and A_k, with
+    G_jj = |A_j| and G_jk = |A_j & A_k|.  So 0 <= G_jk <= min(G_jj, G_kk),
+    and G_jj + G_kk - G_jk = |A_j | A_k| <= n (the Frechet bounds of their
+    2x2 table); at j = k the last bound reads G_jj <= n.  The bounds are
+    necessary, not sufficient: a Gram that passes may still have no design.
+    """
+    d = np.diag(gram)
+    return bool(
+        (gram >= 0).all()
+        and (gram <= np.minimum.outer(d, d)).all()
+        and (d[:, None] + d - gram <= n).all()
+    )
+
+
 class _Search:
     """The slot table shared by the exact and repair depth-first searches.
 
@@ -133,7 +154,11 @@ class _Search:
 
         Each solution is the per-pattern count vector over the nonzero
         patterns; the zero pattern absorbs the remaining n - sum(c) rows.
+        A Gram that fails the pairwise bounds has none, and no node is
+        expanded.
         """
+        if not _binary_gram_bounds_hold(gram, self.n):
+            return []
         sols: list[np.ndarray] = []
         counts = np.zeros(len(self.patterns), dtype=np.int64)
         R = gram[self.triu].astype(np.int64)
@@ -265,7 +290,10 @@ def reconstruct(instance: FeasibilityInstance, timeout_s: float = 10.0) -> Attac
     """Solve the 0-1 feasibility problem for one instance (no metrics).
 
     Exact enumeration stops at two solutions: one gives ``unique``, two
-    ``feasible-multiple``.  Otherwise the minimum-violation repair runs on
+    ``feasible-multiple``.  A Gram that fails the pairwise bounds of a
+    binary design (see the module docstring) has no solution, so
+    enumeration returns before expanding a node.  Otherwise the
+    minimum-violation repair runs on
     ``clamp_gram(instance.gram, instance.n)`` under the same deadline, and
     ``violation`` is the upper-triangle L1 distance from the repaired
     design's Gram to ``instance.gram`` itself.  Running past ``timeout_s``

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedlmm import (
     CapacityError,
@@ -15,19 +18,21 @@ from fedlmm import (
     hamming_sorted,
     reconstruct,
 )
-from fedlmm.attack import clamp_gram
+from fedlmm.attack import _binary_gram_bounds_hold, clamp_gram
 
 from oracles import gram_fibers
 
+# The (n, p) grids whose every Gram the fiber tests enumerate.
+_FIBER_GRIDS = [(1, 1), (2, 2), (3, 2), (2, 3)]
+
 
 def _hard_instance(rng, p=9, n=40):
-    """A dense random Gram that no search finishes within 0.01 s."""
-    gram = np.zeros((p, p), dtype=np.int64)
-    iu = np.triu_indices(p, 1)
-    vals = rng.integers(0, n // 2, size=len(iu[0]))
-    gram[iu] = vals
-    gram[(iu[1], iu[0])] = vals
-    np.fill_diagonal(gram, rng.integers(n // 2, n, size=p))
+    """The Gram of a random binary design, which no search finishes within 0.01 s."""
+    X = (rng.random((n, p)) < 0.5).astype(np.int64)
+    gram = X.T @ X
+    # A Gram that fails the bounds ends the exact search at once, and the
+    # timeout tests would pass without ever reaching their deadline.
+    assert _binary_gram_bounds_hold(gram, n)
     return FeasibilityInstance(gram=gram, n=n)
 
 
@@ -64,7 +69,7 @@ class TestReconstruct:
             assert np.array_equal(G.T @ G, X.T @ X)
 
     def test_fiber_agreement_with_exhaustive_oracle(self):
-        for n, p in [(1, 1), (2, 2), (3, 2), (2, 3)]:
+        for n, p in _FIBER_GRIDS:
             for key, mats in gram_fibers(n, p).items():
                 gram = np.array(key, dtype=np.int64).reshape(p, p)
                 sols = enumerate_reconstructions(FeasibilityInstance(gram=gram, n=n))
@@ -135,8 +140,8 @@ class TestReconstruct:
             assert result.violation == triu_l1(G, gram)
 
     def test_repair_timeout_gives_failed(self, rng):
-        # A negative off-diagonal ends the exact search at its root node, so
-        # the deadline falls inside the repair.
+        # A negative off-diagonal fails the bounds, so the exact search
+        # expands no node and the deadline falls inside the repair.
         gram = _hard_instance(rng).gram.copy()
         gram[0, 1] = gram[1, 0] = -1
         instance = FeasibilityInstance(gram=gram, n=40)
@@ -188,6 +193,34 @@ class TestReconstruct:
     def test_numpy_integer_n_accepted(self):
         result = reconstruct(FeasibilityInstance(gram=np.eye(2, dtype=int), n=np.int64(3)))
         assert result.status == "unique" and result.X_hat.shape == (3, 2)
+
+
+class TestGramBounds:
+    """The pairwise bounds hold on every binary design's Gram and prune no fiber."""
+
+    @pytest.mark.parametrize("n, p", [*_FIBER_GRIDS, (4, 3)])
+    def test_every_fiber_key_passes(self, n, p):
+        for key in gram_fibers(n, p):
+            assert _binary_gram_bounds_hold(np.array(key, dtype=np.int64).reshape(p, p), n)
+
+    def test_failing_grams_have_no_fiber(self):
+        # Every symmetric integer Gram with entries in [-1, n + 1], n <= 3, p <= 2.
+        # At p <= 2 the bounds are also sufficient, so a Gram passes exactly
+        # when it has a fiber.
+        for n, p in itertools.product((1, 2, 3), (1, 2)):
+            fibers = gram_fibers(n, p)
+            iu = np.triu_indices(p)
+            for vals in itertools.product(range(-1, n + 2), repeat=len(iu[0])):
+                gram = np.zeros((p, p), dtype=np.int64)
+                gram[iu] = vals
+                gram[(iu[1], iu[0])] = vals
+                assert _binary_gram_bounds_hold(gram, n) == (tuple(gram.ravel()) in fibers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(np.int64, shape, elements=st.integers(0, 1))))
+    def test_binary_design_gram_passes(self, X):
+        assert _binary_gram_bounds_hold(X.T @ X, X.shape[0])
 
 
 class TestHammingSorted:

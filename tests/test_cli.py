@@ -666,6 +666,17 @@ class TestEndToEnd:
         assert run(["simulate-estimation", *options.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
+    @pytest.mark.parametrize("options, sha", [
+        ("--n 3 --p 3", "67013c4bed873edd510c85887dea4bd1cf731d15fe783822eb8793e2f603f578"),
+        ("--n 5,6 --p 5", "0efaa284d9f4d0a6d89722ca3cc4561ca6afd4cdffc2ff009625e57d6da4b3b1"),
+    ], ids=["n3-p3", "n5,6-p5"])
+    def test_reconstruction_golden_bytes(self, tmp_path, options, sha):
+        """Rate CSV bytes of simulate-reconstruction, without noise and at eps0=8."""
+        out = tmp_path / "rates.csv"
+        argv = [*options.split(), "--epsilon0", "ref,8", "--reps", "10", "--seed", "0"]
+        assert run(["simulate-reconstruction", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
     def test_weak_noise_pipeline_close_to_plain(self, tmp_path):
         artifacts = end_to_end(tmp_path / "weak", seed=7, epsilon0=20.0)
         dp = json.loads(artifacts["fit_dp"].read_text())
