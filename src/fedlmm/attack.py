@@ -23,7 +23,11 @@ the clamped constraints, so element-level accuracy is always defined.
 That repair is a branch-and-bound over the same pattern order: a greedy
 incumbent, counts tried in descending order under the exact search's
 cap plus the incumbent's violation, and an L1 lower bound at every node.
-Both searches read the Gram through one table of upper-triangle slots
+The bound adds a diagonal budget to its per-slot terms: at most n_rem
+rows remain, and none covers more diagonal slots than the popcount of
+the level's pattern, so the covered diagonal residuals can fall by at
+most n_rem times that popcount together.  Any positive diagonal residual
+beyond that budget is violation that no completion avoids.  Both searches read the Gram through one table of upper-triangle slots
 (j <= k).  The exact search does numpy operations per node on an int64
 slot vector; the repair keeps plain Python ints, because numpy's
 per-call overhead on at most 45 entries would dominate each of its
@@ -118,8 +122,9 @@ def _binary_gram_bounds_hold(gram: np.ndarray, n: int) -> bool:
 class _Search:
     """The slot table shared by the exact and repair depth-first searches.
 
-    Per pattern: the upper-triangle slots it covers.  Per level: the slots
-    some pattern from there on covers, and the rest.
+    Per pattern: the upper-triangle slots it covers and its popcount.  Per
+    level: the slots some pattern from there on covers, and the rest.  Also
+    the ids of the diagonal slots (j, j).
     """
 
     def __init__(self, p: int, n: int, deadline: float):
@@ -129,10 +134,13 @@ class _Search:
         self.nodes = 0
         iu, ju = self.triu = np.triu_indices(p)
         slot = {jk: s for s, jk in enumerate(zip(iu.tolist(), ju.tolist()))}
+        self.diag = frozenset(slot[j, j] for j in range(p))
         self.cover: list[tuple[int, ...]] = []
+        self.pop: list[int] = []
         for u in self.patterns:
             sup = np.flatnonzero(u).tolist()
             self.cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
+            self.pop.append(len(sup))
         n_pat, n_slot = len(self.patterns), len(slot)
         self.covered_from = [()] * (n_pat + 1)
         self.uncovered_from = [tuple(range(n_slot))] * (n_pat + 1)
@@ -196,11 +204,23 @@ class _Search:
         """Count vector minimizing total L1 deviation from ``gram``'s slots.
 
         The residual is a flat list of plain ints, one per slot; each
-        pattern subtracts its count from the slots it covers.
+        pattern subtracts its count from the slots it covers.  The lower
+        bound at a node adds a diagonal budget to the per-slot terms:
+        patterns come in descending popcount, so the n_rem rows still to
+        place lower the covered diagonal slots by at most n_rem times the
+        popcount of the level's pattern in total, and any positive diagonal
+        residual beyond that is violation no completion avoids.
         """
         n_pat = len(self.patterns)
-        cover = self.cover
-        covered_from, uncovered_from = self.covered_from, self.uncovered_from
+        cover, diag = self.cover, self.diag
+        uncovered_from = self.uncovered_from
+        # The covered slots per level, split into diagonal and off-diagonal,
+        # and the popcount that bounds each later row's diagonal cover (0 at
+        # the leaves).  Built here, so a Gram the exact search settles pays
+        # nothing for them.
+        diag_from = [tuple(s for s in slots if s in diag) for slots in self.covered_from]
+        off_from = [tuple(s for s in slots if s not in diag) for slots in self.covered_from]
+        pop = [*self.pop, 0]
         R = gram[self.triu].tolist()
 
         # Greedy incumbent: exact-style caps all the way down.
@@ -220,16 +240,28 @@ class _Search:
             nonlocal best, best_counts
             self._tick()
             # L1 lower bound: slots nothing can reach keep |r|; a reachable
-            # slot still costs whatever lies above n_rem or below 0.
+            # slot still costs whatever lies below 0 or above n_rem, and the
+            # reachable diagonal slots together whatever positive residual
+            # lies above the rows' budget n_rem * pop[idx].
             lb = 0
             for s in uncovered_from[idx]:
                 lb += abs(R[s])
-            for s in covered_from[idx]:
+            for s in off_from[idx]:
                 r = R[s]
                 if r > n_rem:
                     lb += r - n_rem
                 elif r < 0:
                     lb -= r
+            above = positive = 0
+            for s in diag_from[idx]:
+                r = R[s]
+                if r > 0:
+                    positive += r
+                    if r > n_rem:
+                        above += r - n_rem
+                elif r < 0:
+                    lb -= r
+            lb += max(above, positive - n_rem * pop[idx])
             if lb >= best:
                 return
             if idx == n_pat:  # every slot is uncovered, so lb is the violation
@@ -264,12 +296,17 @@ def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int) -> np.nd
     return np.concatenate(rows, axis=0)
 
 
-def _start_search(instance: FeasibilityInstance, timeout_s: float) -> _Search:
-    """Search state for the instance, its deadline starting now."""
+def check_solver_limits(p: int, timeout_s: float) -> None:
+    """Refuse a timeout that is not a positive, finite number of seconds, and p > 9."""
     if not (timeout_s > 0 and math.isfinite(timeout_s)):
         raise ValidationError(f"timeout must be a positive number of seconds, got {timeout_s!r}")
-    if instance.p > _P_MAX:
-        raise CapacityError(f"p={instance.p} exceeds the solver's capacity p <= {_P_MAX}")
+    if p > _P_MAX:
+        raise CapacityError(f"p={p} exceeds the solver's capacity p <= {_P_MAX}")
+
+
+def _start_search(instance: FeasibilityInstance, timeout_s: float) -> _Search:
+    """Search state for the instance, its deadline starting now."""
+    check_solver_limits(instance.p, timeout_s)
     return _Search(instance.p, instance.n, time.monotonic() + timeout_s)
 
 

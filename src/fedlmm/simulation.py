@@ -440,6 +440,25 @@ def run_reconstruction_study(
     delta: float = 0.01,
     timeout_s: float = 10.0,
 ) -> list[dict]:
+    """One row per (p, n, level) cell, in that loop order.
+
+    The whole grid is checked before the first cell runs, so a bad value
+    refuses the study without running the valid cells first: reps and
+    every n at least 1, every p in 1..9, a positive finite timeout, and
+    every level other than the reference (None) calibrated at every p.
+    """
+    if reps < 1:
+        raise ValidationError("reps must be >= 1")
+    for n in n_values:
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
+    for p in p_values:
+        if p < 1:
+            raise ValidationError(f"p must be >= 1, got {p}")
+        attack_mod.check_solver_limits(p, timeout_s)
+        for eps in epsilon0_values:
+            if eps is not None:
+                calibrate(float(eps), delta=delta, p=p)
     rows = []
     for p in p_values:
         for n in n_values:

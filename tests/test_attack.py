@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fedlmm import (
     hamming_sorted,
     reconstruct,
 )
-from fedlmm.attack import _binary_gram_bounds_hold, clamp_gram
+from fedlmm.attack import _Search, _binary_gram_bounds_hold, _patterns, clamp_gram
 
 from oracles import gram_fibers
 
@@ -138,6 +139,55 @@ class TestReconstruct:
             clamped = clamp_gram(gram, n)
             assert triu_l1(G, clamped) == triu_l1(design_grams[n], clamped).min()
             assert result.violation == triu_l1(G, gram)
+
+    def test_repair_tie_rule(self):
+        # Which minimizer the repair returns, not only its violation: the
+        # greedy incumbent when that is optimal, else the first
+        # minimal-violation count vector in DFS order (patterns in
+        # `_patterns` order, each count descending from the rows left).
+        rng = np.random.default_rng(47)
+
+        def dfs_order(n_pat, n_rem):
+            if n_pat == 0:
+                yield ()
+                return
+            for c in range(n_rem, -1, -1):
+                for rest in dfs_order(n_pat - 1, n_rem - c):
+                    yield (c, *rest)
+
+        def violation(counts, patterns, gram):
+            U = patterns.astype(np.int64)
+            G = U.T @ (np.array(counts, dtype=np.int64)[:, None] * U)
+            return int(np.abs(np.triu(G - gram)).sum())
+
+        def greedy(patterns, gram, n):
+            G, counts, n_rem = gram.copy(), [], n
+            for u in patterns.astype(np.int64):
+                sup = np.flatnonzero(u)
+                c = min(n_rem, max(0, int(G[np.ix_(sup, sup)].min())))
+                G -= c * np.outer(u, u)
+                counts.append(c)
+                n_rem -= c
+            return tuple(counts)
+
+        greedy_kept = replaced = 0
+        for _ in range(400):
+            n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            X = (rng.random((n, p)) < 0.5).astype(np.int64)
+            noise = rng.integers(-2, 3, size=(p, p))
+            clamped = clamp_gram(X.T @ X + np.triu(noise) + np.triu(noise, 1).T, n)
+            patterns = _patterns(p)
+            candidates = list(dfs_order(len(patterns), n))
+            scores = [violation(c, patterns, clamped) for c in candidates]
+            best = min(scores)
+            incumbent = greedy(patterns, clamped, n)
+            if violation(incumbent, patterns, clamped) == best:
+                expected, greedy_kept = incumbent, greedy_kept + 1
+            else:
+                expected, replaced = candidates[scores.index(best)], replaced + 1
+            counts, found = _Search(p, n, deadline=math.inf).repair(clamped)
+            assert (tuple(counts.tolist()), found) == (expected, best)
+        assert greedy_kept and replaced
 
     def test_repair_timeout_gives_failed(self, rng):
         # A negative off-diagonal fails the bounds, so the exact search

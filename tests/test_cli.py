@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fedlmm
+import fedlmm.attack
 import fedlmm.cli as cli
 import fedlmm.estimator
 from fedlmm import calibrate, load_summary, merge_summaries, privatize, save_summary
@@ -568,6 +569,29 @@ class TestSimulateCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("options, message", [
+        ("--n 6 --p 5,10 --reps 50", "p=10 exceeds the solver's capacity p <= 9"),
+        ("--n 6 --p 5 --epsilon0 ref,8 --delta 2 --reps 2", "delta must lie in (0, 1)"),
+        ("--n 6 --p 5 --epsilon0 ref,-1 --reps 2", "epsilon must be positive"),
+        ("--n 0 --p 3 --reps 2", "n must be >= 1, got 0"),
+        ("--n 3,0 --p 3 --reps 2", "n must be >= 1, got 0"),
+        ("--n 3 --p 3,0 --reps 2", "p must be >= 1, got 0"),
+        ("--n 3 --p 3 --reps 0", "reps must be >= 1"),
+        ("--n 3 --p 3 --reps 2 --timeout 0", "timeout must be a positive number of seconds, got 0.0"),
+        ("--n 3 --p 3 --reps 2 --timeout inf", "timeout must be a positive number of seconds, got inf"),
+    ], ids=["p-over-capacity", "delta", "epsilon0", "n-zero", "n-zero-later", "p-zero", "reps",
+            "timeout-zero", "timeout-inf"])
+    def test_reconstruction_grid_checked_before_cells(self, tmp_path, capsys, monkeypatch,
+                                                      options, message):
+        # A bad value anywhere in the grid refuses the study before any replicate runs.
+        calls = []
+        monkeypatch.setattr(fedlmm.attack, "attack_pipeline", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "rates.csv"
+        rc = run(["simulate-reconstruction", *options.split(), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("option, argv", [
     ("--K", "simulate-estimation --scenario ri-mis --K {} --epsilon0 8 --reps 1"),
@@ -667,13 +691,19 @@ class TestEndToEnd:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
     @pytest.mark.parametrize("options, sha", [
-        ("--n 3 --p 3", "67013c4bed873edd510c85887dea4bd1cf731d15fe783822eb8793e2f603f578"),
-        ("--n 5,6 --p 5", "0efaa284d9f4d0a6d89722ca3cc4561ca6afd4cdffc2ff009625e57d6da4b3b1"),
-    ], ids=["n3-p3", "n5,6-p5"])
+        ("--n 3 --p 3 --epsilon0 ref,8",
+         "67013c4bed873edd510c85887dea4bd1cf731d15fe783822eb8793e2f603f578"),
+        ("--n 5,6 --p 5 --epsilon0 ref,8",
+         "0efaa284d9f4d0a6d89722ca3cc4561ca6afd4cdffc2ff009625e57d6da4b3b1"),
+        ("--n 3 --p 3 --epsilon0 2,4",
+         "f6ee6555036d90dd7a1f816e4b66a9a4395552d2eae4790859251349f93d5f70"),
+        ("--n 5,6 --p 5 --epsilon0 2,4",
+         "8326820215d0f96b9b14f37f44992c41f72a16250910b94f932382335179c47b"),
+    ], ids=["n3-p3", "n5,6-p5", "n3-p3-eps2,4", "n5,6-p5-eps2,4"])
     def test_reconstruction_golden_bytes(self, tmp_path, options, sha):
-        """Rate CSV bytes of simulate-reconstruction, without noise and at eps0=8."""
+        """Rate CSV bytes of simulate-reconstruction: no noise, eps0=8 and the repair-heavy 2 and 4."""
         out = tmp_path / "rates.csv"
-        argv = [*options.split(), "--epsilon0", "ref,8", "--reps", "10", "--seed", "0"]
+        argv = [*options.split(), "--reps", "10", "--seed", "0"]
         assert run(["simulate-reconstruction", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
