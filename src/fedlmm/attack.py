@@ -27,7 +27,9 @@ The bound adds a diagonal budget to its per-slot terms: at most n_rem
 rows remain, and none covers more diagonal slots than the popcount of
 the level's pattern, so the covered diagonal residuals can fall by at
 most n_rem times that popcount together.  Any positive diagonal residual
-beyond that budget is violation that no completion avoids.  Both searches read the Gram through one table of upper-triangle slots
+beyond that budget is violation that no completion avoids.
+
+Both searches read the Gram through one table of upper-triangle slots
 (j <= k).  The exact search does numpy operations per node on an int64
 slot vector; the repair keeps plain Python ints, because numpy's
 per-call overhead on at most 45 entries would dominate each of its
@@ -38,14 +40,14 @@ p at 9.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, SolverTimeoutError, ValidationError
-from .privacy import PrivacyBudget, gaussian_mechanism
+from .privacy import PrivacyBudget, _site_stream
+from .summaries import is_integer
 
 
 # Largest p the solver accepts.  The exact and repair searches recurse
@@ -65,13 +67,11 @@ class FeasibilityInstance:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("gram must be square")
         if not np.issubdtype(g.dtype, np.integer):
-            if not np.isfinite(g).all():
-                raise ValidationError("gram entries must be finite")
-            g = np.rint(g)
+            raise ValidationError("gram entries must be finite integers")
         g = g.astype(np.int64)
         if not np.array_equal(g, g.T):
             raise ValidationError("gram must be symmetric")
-        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+        if not is_integer(self.n):
             raise ValidationError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
@@ -376,7 +376,8 @@ def released_rounded_gram(
     X = np.asarray(X)
     gram = (X.astype(np.int64).T @ X.astype(np.int64)).astype(float)
     if budget is not None:
-        gram = gaussian_mechanism(gram, budget, rng_seed)
+        # the stream name is part of the released bytes of the attack experiment
+        gram += _site_stream(rng_seed, "attack-target").normal(0.0, budget.sigma_dp, size=gram.shape)
     rounded = np.rint(np.triu(gram))
     rounded = rounded + np.triu(rounded, 1).T
     return rounded.astype(np.int64)

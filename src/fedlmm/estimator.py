@@ -27,13 +27,14 @@ the 2-D search's starting points and refines each local minimum it
 reaches with a bounded Brent search.  Every other fit is maximized by
 derivative-free Nelder-Mead on (log sigma2, softplus^-1 tau2), with an
 explicit scan of the tau2 = 0 edge: noisy summaries whose profile is not
-well posed, an optimum at the top of the grid or outside the search box,
-and a point the refinement finds ill posed.
+well posed, an optimum at the top of the grid, and a point the refinement
+finds ill posed.
 
-Both searches share one search box (``_SearchSpace``), one rule by which
-the tau2 = 0 edge wins a tie (``_edge_wins``), and one evaluation budget,
-``_MAX_EVALS`` per Nelder-Mead start and per Brent refinement; ``_fit``
-turns the result of either into the ``FitResult``.
+Only Nelder-Mead searches inside a box (``_SearchSpace``); the profiled
+search takes sigma2 in closed form, however small.  Both share one rule
+by which the tau2 = 0 edge wins a tie (``_edge_wins``) and one evaluation
+budget, ``_MAX_EVALS`` per Nelder-Mead start and per Brent refinement;
+``_fit`` turns the result of either into the ``FitResult``.
 
 The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout.
 """
@@ -65,7 +66,7 @@ class Theta:
         object.__setattr__(self, "beta", beta)
 
 
-# Search box, relative to the pooled outcome scale: sigma2 in
+# The Nelder-Mead search box, relative to the pooled outcome scale: sigma2 in
 # [_SIGMA2_MIN_FACTOR, _SIGMA2_MAX_FACTOR] * scale, tau2 in [0, _TAU2_MAX_FACTOR * scale].
 _SIGMA2_MIN_FACTOR = 1e-8
 _SIGMA2_MAX_FACTOR = 1e8
@@ -233,7 +234,7 @@ class _Kernel:
 
 
 class _IllPosed(Exception):
-    """The profiled search does not apply: an ill-posed gamma, or an optimum off the grid or box."""
+    """The profiled search does not apply: an ill-posed gamma, or an optimum off the grid."""
 
 
 def _check_theta_domain(sigma2: float, tau2: float) -> None:
@@ -301,20 +302,9 @@ class _SearchSpace:
             with np.errstate(over="ignore"):
                 sigma2 = float(np.exp(u[0]))
         tau2 = float(np.logaddexp(0.0, u[1])) if u.shape[0] > 1 else 0.0  # softplus
-        return (sigma2, tau2) if self.contains(sigma2, tau2) else None
-
-    def contains(self, sigma2: float, tau2: float) -> bool:
-        """Whether (sigma2, tau2) lies in the box; a NaN coordinate does not."""
-        return self.sigma2_lo <= sigma2 <= self.sigma2_hi and tau2 <= self.tau2_hi
-
-
-def _search_space(kernel: _Kernel) -> _SearchSpace:
-    scale = kernel.scale()
-    return _SearchSpace(
-        sigma2_lo=_SIGMA2_MIN_FACTOR * scale,
-        sigma2_hi=_SIGMA2_MAX_FACTOR * scale,
-        tau2_hi=_TAU2_MAX_FACTOR * scale,
-    )
+        # a point outside the box, or with a NaN coordinate, decodes to None
+        inside = self.sigma2_lo <= sigma2 <= self.sigma2_hi and tau2 <= self.tau2_hi
+        return (sigma2, tau2) if inside else None
 
 
 def _edge_wins(edge_value: float, best_value: float) -> bool:
@@ -381,8 +371,6 @@ def _profiled_search(kernel: _Kernel, reml: bool) -> tuple[float, float, float, 
         quad, value, boundary = q[0], to_value(d[0]), False
     sigma2 = float(quad / m)
     tau2 = gamma * sigma2
-    if not _search_space(kernel).contains(sigma2, tau2):
-        raise _IllPosed
     return sigma2, tau2, float(value), converged, n_evals, boundary
 
 
@@ -398,7 +386,8 @@ def _nelder_mead_search(
     from scipy import optimize  # imported on first use, to keep `import fedlmm` light
 
     scale = kernel.scale()
-    space = _search_space(kernel)
+    space = _SearchSpace(sigma2_lo=_SIGMA2_MIN_FACTOR * scale, sigma2_hi=_SIGMA2_MAX_FACTOR * scale,
+                         tau2_hi=_TAU2_MAX_FACTOR * scale)
 
     def neg(u: np.ndarray) -> float:
         decoded = space.decode(u)  # a one-element u is a point on the tau2 = 0 edge

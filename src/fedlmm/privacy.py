@@ -69,7 +69,7 @@ def sensitivity_binary_gram(p: int) -> float:
     Replacing one record x in {0,1}^p by x* changes X'X by xx' - x*x*',
     whose Frobenius norm is at most ||x||^2 + ||x*||^2 <= 2p.
     """
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
+    if not (is_integer(p) and p >= 1):
         raise ValidationError("p must be a positive integer")
     return 2.0 * p
 
@@ -94,20 +94,6 @@ def _site_stream(rng_seed: int, site_id: str) -> np.random.Generator:
     digest = hashlib.sha256(site_id.encode("utf-8")).digest()
     words = tuple(int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4))
     return np.random.default_rng(np.random.SeedSequence(entropy=int(rng_seed), spawn_key=words))
-
-
-def gaussian_mechanism(matrix: np.ndarray, budget: PrivacyBudget, rng_seed: int) -> np.ndarray:
-    """Plain Gaussian mechanism on one matrix-valued query.
-
-    Adds i.i.d. N(0, sigma_dp^2) noise to every entry with no
-    post-processing; the output of a symmetric query is therefore not
-    symmetric.  The summary release path (:func:`privatize`) layers
-    symmetrization on top of this mechanism.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    # the stream name is part of the released bytes of the attack experiment
-    rng = _site_stream(rng_seed, "attack-target")
-    return matrix + rng.normal(0.0, budget.sigma_dp, size=matrix.shape)
 
 
 def privatize(

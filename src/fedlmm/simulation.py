@@ -25,7 +25,7 @@ from . import attack as attack_mod
 from .errors import FedLMMError, ValidationError
 from .estimator import fit_ml
 from .privacy import calibrate, privatize
-from .summaries import SiteData, compute_summary, merge_summaries, standardize
+from .summaries import SiteData, compute_summary, is_integer, merge_summaries, standardize
 from .variance import apply_correction, correction_factor, cr0
 
 # The study arms in row order.  Each has the noise-stream index j of its
@@ -60,6 +60,14 @@ SCENARIOS = {
 }
 
 
+def _require_count(name: str, value) -> None:
+    """Refuse a count that is not an integer (a bool is not one) or is below 1."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One cell of the estimation experiment, named after an entry of ``SCENARIOS``.
@@ -78,8 +86,7 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}")
-        if self.K < 1:
-            raise ValidationError("K must be >= 1")
+        _require_count("K", self.K)
 
     @property
     def generator(self) -> str:
@@ -267,8 +274,7 @@ def run_estimation_study(
     workers: int = 1,
 ) -> list[MetricRow]:
     """Replicated arms on common random numbers; failures never abort the study."""
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    _require_count("reps", reps)
     if not arms or any(a not in ARMS for a in arms):
         raise ValidationError(f"arms must be one or more of {list(ARMS)}, got {list(arms)}")
     # Refuse here what every replicate would refuse, before a failed
@@ -403,8 +409,8 @@ def run_reconstruction_cell(
     element-level rate averages over solved replicates only, with the
     failure count reported alongside.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    for name, value in (("n", n), ("p", p), ("reps", reps)):
+        _require_count(name, value)
     budget = None if epsilon0 is None else calibrate(float(epsilon0), delta=delta, p=p)
     matrix_hits = 0
     element_rates = []
@@ -444,17 +450,15 @@ def run_reconstruction_study(
 
     The whole grid is checked before the first cell runs, so a bad value
     refuses the study without running the valid cells first: reps and
-    every n at least 1, every p in 1..9, a positive finite timeout, and
-    every level other than the reference (None) calibrated at every p.
+    every n integers of at least 1, every p an integer in 1..9, a positive
+    finite timeout, and every level other than the reference (None)
+    calibrated at every p.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    _require_count("reps", reps)
     for n in n_values:
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
+        _require_count("n", n)
     for p in p_values:
-        if p < 1:
-            raise ValidationError(f"p must be >= 1, got {p}")
+        _require_count("p", p)
         attack_mod.check_solver_limits(p, timeout_s)
         for eps in epsilon0_values:
             if eps is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -375,15 +375,6 @@ def standardize(
 
 
 def summary_to_dict(summary: SiteSummary) -> dict:
-    budget = None
-    if summary.budget_used is not None:
-        b = summary.budget_used
-        budget = {
-            "epsilon": b.epsilon,
-            "delta": b.delta,
-            "delta_f": b.delta_f,
-            "sigma_dp": b.sigma_dp,
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "site_id": summary.site_id,
@@ -393,7 +384,7 @@ def summary_to_dict(summary: SiteSummary) -> dict:
         "S": [float(v) for v in summary.S.ravel()],
         "T": [float(v) for v in summary.T.ravel()],
         "privatized": summary.privatized,
-        "budget": budget,
+        "budget": None if summary.budget_used is None else asdict(summary.budget_used),
     }
 
 
@@ -421,15 +412,12 @@ def summary_from_dict(obj: dict) -> SiteSummary:
         S = np.array(obj["S"], dtype=float).reshape(d, d)
         T = np.array(obj["T"], dtype=float).reshape(d, d)
         privatized = _field(obj, "privatized", bool)
-        budget = None
-        if obj.get("budget") is not None:
-            b = obj["budget"]
-            budget = PrivacyBudget(
-                epsilon=float(b["epsilon"]),
-                delta=float(b["delta"]),
-                delta_f=float(b["delta_f"]),
-                sigma_dp=float(b["sigma_dp"]),
-            )
+        b = obj.get("budget")
+        if privatized != (b is not None):
+            raise ValueError(f"site {site_id!r}: 'privatized' is {str(privatized).lower()} "
+                             f"but 'budget' is {'null' if b is None else 'set'}")
+        budget = None if b is None else PrivacyBudget(
+            **{f.name: float(b[f.name]) for f in fields(PrivacyBudget)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed summary object: {exc}") from exc
     summary = SiteSummary(

@@ -576,7 +576,7 @@ class TestSimulateCommands:
         ("--n 0 --p 3 --reps 2", "n must be >= 1, got 0"),
         ("--n 3,0 --p 3 --reps 2", "n must be >= 1, got 0"),
         ("--n 3 --p 3,0 --reps 2", "p must be >= 1, got 0"),
-        ("--n 3 --p 3 --reps 0", "reps must be >= 1"),
+        ("--n 3 --p 3 --reps 0", "reps must be >= 1, got 0"),
         ("--n 3 --p 3 --reps 2 --timeout 0", "timeout must be a positive number of seconds, got 0.0"),
         ("--n 3 --p 3 --reps 2 --timeout inf", "timeout must be a positive number of seconds, got inf"),
     ], ids=["p-over-capacity", "delta", "epsilon0", "n-zero", "n-zero-later", "p-zero", "reps",

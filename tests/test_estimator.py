@@ -421,3 +421,71 @@ class TestFitREML:
         noisy = privatize(summ, budget, rng_seed=1)
         with pytest.raises(ValidationError, match="determinant amplification"):
             fit_reml(noisy)
+
+
+class TestProfiledSearch:
+    @staticmethod
+    def _shifted(shift):
+        """K=20 sites of 30 rows: y = shift + x + 0.01 b_k + 0.01 e, so sigma2 ~ tau2 ~ 1e-4."""
+        rng = np.random.default_rng(5)
+        sites = []
+        for k in range(20):
+            x, b, e = rng.normal(size=30), rng.normal(), rng.normal(size=30)
+            sites.append(SiteData(site_id=f"s{k}", y=shift + x + 0.01 * b + 0.01 * e,
+                                  X=np.column_stack([np.ones(30), x])))
+        return _summaries(sites)
+
+    @pytest.mark.parametrize("fit", [fit_ml, fit_reml])
+    def test_shift_keeps_the_profile_below_the_box_floor(self, fit):
+        # At shift 1000 sigma2 lies under the Nelder-Mead box floor 1e-8 * y'y/N
+        # ~ 1e-2; the profile's closed-form sigma2 is not held to that box.
+        base, shifted = fit(self._shifted(0.0)), fit(self._shifted(1000.0))
+        assert base.search == "profile"
+        assert (shifted.search, shifted.boundary_tau) == ("profile", False)
+        assert shifted.theta_hat.sigma2 == pytest.approx(base.theta_hat.sigma2, rel=1e-3)
+        assert shifted.theta_hat.tau2 == pytest.approx(base.theta_hat.tau2, rel=2e-2)
+
+    @staticmethod
+    def _profiled_objectives(summ, reml):
+        """The profiled objective at gamma = 0 and at each well-posed gamma of a 0.05-step log grid."""
+        from fedlmm.estimator import _IllPosed, _Kernel
+
+        kernel = _Kernel(summ)
+        m = kernel.N - kernel.p if reml else kernel.N
+        gammas = np.concatenate(([0.0], np.exp(np.arange(-16.0, 10.0 + 1e-9, 0.05))))
+        try:
+            dev = kernel.grid_deviance(gammas, reml)[0]
+        except _IllPosed:  # keep the well-posed gammas only
+            dev = []
+            for gamma in gammas:
+                try:
+                    dev.append(kernel.grid_deviance(np.array([gamma]), reml)[0][0])
+                except _IllPosed:
+                    pass
+        return -0.5 * (np.asarray(dev) + m * (1.0 - np.log(m)))
+
+    def test_optimality_certificate(self):
+        """Every profiled fit tops its profiled objective over the fine grid and gamma = 0."""
+        fits = []
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            summ = _summaries(random_sites(rng))
+            for reml, fit in ((False, fit_ml), (True, fit_reml)):
+                try:
+                    fits.append((summ, reml, fit(summ)))
+                except SingularDesignError:
+                    pass
+        rng = np.random.default_rng(2024)
+        for i in range(24):
+            summ = _summaries(random_sites(rng, K=30, n_range=(3, 8), p=3, tau2=0.8))
+            for eps0 in (32.0, 128.0, 512.0, 2048.0):
+                noisy = privatize(summ, calibrate(eps0, delta=0.01, p=summ.p), rng_seed=i)
+                fits.append((noisy, False, fit_ml(noisy)))
+        profiled = [(summ, reml, fit) for summ, reml, fit in fits if fit.search == "profile"]
+        # 148 exact ML, 149 exact REML and 44 private ML fits take the profile
+        kinds = [(summ.any_privatized, reml) for summ, reml, _ in profiled]
+        assert min(kinds.count((False, False)), kinds.count((False, True))) >= 140
+        assert kinds.count((True, False)) >= 40
+        for summ, reml, fit in profiled:
+            top = self._profiled_objectives(summ, reml).max()
+            assert top <= fit.objective + 1e-10 * (1.0 + abs(fit.objective))

@@ -52,8 +52,11 @@ class TestSensitivityBinaryGram:
         assert worst == pytest.approx(p)
 
     def test_rejects_bad_p(self):
-        with pytest.raises(ValidationError):
-            sensitivity_binary_gram(0)
+        for p in (0, True):
+            with pytest.raises(ValidationError, match="p must be a positive integer"):
+                sensitivity_binary_gram(p)
+            with pytest.raises(ValidationError, match="p must be a positive integer"):
+                calibrate(8.0, 0.01, p=p)
 
 
 class TestCalibrate:

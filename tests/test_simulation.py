@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fedlmm.simulation import (
     privacy_cost_slope,
     run_estimation_study,
     run_reconstruction_cell,
+    run_reconstruction_study,
     se_calibration,
     write_rows,
 )
@@ -68,8 +71,9 @@ class TestGenerate:
     def test_bad_names(self):
         with pytest.raises(ValidationError):
             Scenario("nope", K=5)
-        with pytest.raises(ValidationError):
-            Scenario("ri-correct", K=0)
+        for K in (0, 2.5, True):
+            with pytest.raises(ValidationError, match="^K must be"):
+                Scenario("ri-correct", K=K)
 
 
 class TestEstimationStudy:
@@ -148,8 +152,9 @@ class TestEstimationStudy:
 
     def test_invalid_args(self):
         scenario = Scenario("ri-correct", K=5)
-        with pytest.raises(ValidationError):
-            run_estimation_study(scenario, [8.0], reps=0, seed=1)
+        for reps in (0, 2.5, True):
+            with pytest.raises(ValidationError, match="^reps must be"):
+                run_estimation_study(scenario, [8.0], reps=reps, seed=1)
         with pytest.raises(ValidationError):
             run_estimation_study(scenario, [8.0], reps=1, seed=1, arms=("nope",))
         with pytest.raises(ValidationError, match="one or more"):
@@ -298,6 +303,24 @@ class TestReconstructionCell:
         assert row["matrix_rate"] == hits / 12
         assert row["element_rate"] == pytest.approx(
             sum(r.element_rate for r in results) / len(results), rel=1e-15)
+
+    @pytest.mark.parametrize("n, p, reps, message", [
+        (3, 3, 2.5, "reps must be an integer, got 2.5"),
+        (3, 3, 0, "reps must be >= 1, got 0"),
+        (2.5, 3, 2, "n must be an integer, got 2.5"),
+        (True, 3, 2, "n must be an integer, got True"),
+        (3, 2.5, 2, "p must be an integer, got 2.5"),
+        (3, True, 2, "p must be an integer, got True"),
+    ], ids=["reps-float", "reps-zero", "n-float", "n-bool", "p-float", "p-bool"])
+    def test_counts_checked_before_replicates(self, monkeypatch, n, p, reps, message):
+        calls = []
+        monkeypatch.setattr(simulation.attack_mod, "attack_pipeline",
+                            lambda *args, **kwargs: calls.append(args))
+        for run in (lambda: run_reconstruction_cell(n, p, None, reps, seed=1),
+                    lambda: run_reconstruction_study([2, n], [2, p], [None, 8.0], reps, seed=1)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                run()
+        assert calls == []
 
     def test_all_replicates_failed(self, monkeypatch):
         monkeypatch.setattr(simulation.attack_mod, "attack_pipeline",

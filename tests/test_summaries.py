@@ -12,9 +12,11 @@ from fedlmm import (
     SiteData,
     SiteSummary,
     ValidationError,
+    calibrate,
     compute_summary,
     load_summary,
     merge_summaries,
+    privatize,
     save_summary,
     standardize,
 )
@@ -421,3 +423,33 @@ class TestExchangeFormat:
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(ValidationError, match="schema_version"):
             load_summary(path)
+
+    @staticmethod
+    def _released_dict(rng):
+        site = compute_summary(SiteData(site_id="dp", y=rng.normal(size=5), X=rng.normal(size=(5, 2))))
+        return summary_to_dict(privatize(merge_summaries([site]), calibrate(8.0, 0.01, p=2))[0])
+
+    @pytest.mark.parametrize("key, value", [("budget", None), ("privatized", False)])
+    def test_privatized_flag_must_match_budget(self, rng, key, value):
+        obj = self._released_dict(rng)
+        obj[key] = value  # a privatized file without its budget, or a budget on exact data
+        with pytest.raises(ValidationError, match="^malformed summary object: site 'dp': 'privatized'"):
+            summary_from_dict(obj)
+
+    def test_missing_budget_field(self, rng):
+        obj = self._released_dict(rng)
+        del obj["budget"]["delta"]
+        with pytest.raises(ValidationError, match="^malformed summary object: 'delta'$"):
+            summary_from_dict(obj)
+
+    def test_non_positive_delta_f_rejected(self, rng):
+        obj = self._released_dict(rng)
+        obj["budget"]["delta_f"] = 0.0
+        with pytest.raises(ValidationError, match="delta_f must be positive"):
+            summary_from_dict(obj)
+
+    def test_unsupported_layout_rejected(self, rng):
+        obj = summary_to_dict(compute_summary(SiteData(site_id="a", y=[1.0, 2.0], X=[[1.0], [1.0]])))
+        obj["layout"] = "x-first"
+        with pytest.raises(ValidationError, match="unsupported layout 'x-first'"):
+            summary_from_dict(obj)
