@@ -14,7 +14,12 @@ popcount order so that diagonal budgets prune early.  Before it expands a
 node, the exact search checks the pairwise bounds every binary n-row Gram
 meets: entries >= 0, G_jj <= n, G_jk <= min(G_jj, G_kk) and
 G_jj + G_kk - G_jk <= n (Frechet).  A noisy Gram that fails one has no
-solution, so it goes straight to the repair.
+solution, so it goes straight to the repair.  At every node the exact
+search then prunes by the rows' budget that the repair's lower bound
+below also uses: no covered slot can exceed the n_rem rows still to
+place, and the diagonal slots together cannot exceed n_rem times the
+popcount of the level's pattern.  It prunes exactly where that bound is
+positive, so it finds the same solutions in the same order.
 
 When rounding noise makes the instance infeasible, the attacker clamps
 the Gram into the ranges a binary design can have (``clamp_gram``) and
@@ -122,9 +127,10 @@ def _binary_gram_bounds_hold(gram: np.ndarray, n: int) -> bool:
 class _Search:
     """The slot table shared by the exact and repair depth-first searches.
 
-    Per pattern: the upper-triangle slots it covers and its popcount.  Per
-    level: the slots some pattern from there on covers, and the rest.  Also
-    the ids of the diagonal slots (j, j).
+    Per pattern: the upper-triangle slots it covers.  Per level: its
+    pattern's popcount, which bounds each later row's diagonal cover (0 at
+    the leaves), the slots some pattern from there on covers, and the rest.
+    Also the ids of the diagonal slots (j, j).
     """
 
     def __init__(self, p: int, n: int, deadline: float):
@@ -141,6 +147,7 @@ class _Search:
             sup = np.flatnonzero(u).tolist()
             self.cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
             self.pop.append(len(sup))
+        self.pop.append(0)
         n_pat, n_slot = len(self.patterns), len(slot)
         self.covered_from = [()] * (n_pat + 1)
         self.uncovered_from = [tuple(range(n_slot))] * (n_pat + 1)
@@ -163,7 +170,11 @@ class _Search:
         Each solution is the per-pattern count vector over the nonzero
         patterns; the zero pattern absorbs the remaining n - sum(c) rows.
         A Gram that fails the pairwise bounds has none, and no node is
-        expanded.
+        expanded.  A node is pruned when a slot no later pattern covers is
+        nonzero, when a covered slot exceeds n_rem, or when the diagonal
+        residuals sum to more than n_rem * pop[idx] (the repair's budget):
+        each is a necessary condition of any completion, so the solutions
+        and their order are those of the unpruned search.
         """
         if not _binary_gram_bounds_hold(gram, self.n):
             return []
@@ -172,11 +183,19 @@ class _Search:
         R = gram[self.triu].astype(np.int64)
         cover = [np.array(slots, dtype=np.intp) for slots in self.cover]
         uncovered_from = [np.array(slots, dtype=np.intp) for slots in self.uncovered_from]
+        covered_from = [np.array(slots, dtype=np.intp) for slots in self.covered_from]
+        diag = np.array(sorted(self.diag), dtype=np.intp)
+        pop = self.pop
 
         def rec(idx: int, n_rem: int) -> bool:
             self._tick()
             # Slots no pattern from idx onward can still reach must be 0.
             if R[uncovered_from[idx]].any():
+                return True
+            # The repair's budget: no slot can fall by more than n_rem, and
+            # the diagonal slots together by at most n_rem * pop[idx].  The
+            # uncovered ones are 0 by now, so the sum is over the covered.
+            if (R[covered_from[idx]] > n_rem).any() or R[diag].sum() > n_rem * pop[idx]:
                 return True
             if idx == len(self.patterns):
                 sols.append(counts.copy())
@@ -212,15 +231,12 @@ class _Search:
         residual beyond that is violation no completion avoids.
         """
         n_pat = len(self.patterns)
-        cover, diag = self.cover, self.diag
+        cover, diag, pop = self.cover, self.diag, self.pop
         uncovered_from = self.uncovered_from
-        # The covered slots per level, split into diagonal and off-diagonal,
-        # and the popcount that bounds each later row's diagonal cover (0 at
-        # the leaves).  Built here, so a Gram the exact search settles pays
-        # nothing for them.
+        # The covered slots per level, split into diagonal and off-diagonal.
+        # Built here, so a Gram the exact search settles pays nothing for them.
         diag_from = [tuple(s for s in slots if s in diag) for slots in self.covered_from]
         off_from = [tuple(s for s in slots if s not in diag) for slots in self.covered_from]
-        pop = [*self.pop, 0]
         R = gram[self.triu].tolist()
 
         # Greedy incumbent: exact-style caps all the way down.

@@ -76,7 +76,8 @@ class Scenario:
     site-level random intercept, optionally plus a random slope on x1; the
     analysis model either matches the full mean structure or underfits with
     (x1, x2) only.  The true beta and sigma2 (``_BETA0``, ``_SIGMA2``) and
-    the small/large site-size mixture are fixed; tau2 is settable.
+    the small/large site-size mixture are fixed; tau2 is settable, to any
+    finite number >= 0.
     """
 
     name: str
@@ -87,6 +88,10 @@ class Scenario:
         if self.name not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}")
         _require_count("K", self.K)
+        tau2 = self.tau2
+        real = type(tau2) is not bool and isinstance(tau2, (int, float, np.integer, np.floating))
+        if not (real and math.isfinite(tau2) and tau2 >= 0):
+            raise ValidationError(f"tau2 must be a finite number >= 0, got {tau2!r}")
 
     @property
     def generator(self) -> str:

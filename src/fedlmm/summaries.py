@@ -90,6 +90,7 @@ class SiteSummary:
 
     def __post_init__(self):
         _, S, T = _checked_stacks((self.site_id,), [self.n], [self.S], [self.T])
+        _check_budgets((self.site_id,), (self.privatized,), (self.budget_used,))
         self.__dict__.update(S=S[0], T=T[0])
 
     @property
@@ -220,6 +221,17 @@ def compute_summary(data: SiteData) -> SiteSummary:
     return SiteSummary(site_id=data.site_id, n=data.n, S=S, T=T, privatized=False)
 
 
+def _check_budgets(ids: tuple[str, ...], privatized, budget_used) -> None:
+    """Refuse a site whose privatized flag disagrees with its budget.
+
+    A release carries the budget it was made under; exact summaries carry none.
+    """
+    for site_id, flag, budget in zip(ids, privatized, budget_used):
+        if bool(flag) != (budget is not None):
+            raise ValidationError(f"site {site_id!r}: privatized is {bool(flag)} "
+                                  f"but budget_used is {'None' if budget is None else 'set'}")
+
+
 @dataclass(frozen=True, eq=False)
 class FederatedSummarySet:
     """The summaries of K sites in order, as read-only stacks checked once.
@@ -245,6 +257,7 @@ class FederatedSummarySet:
         n, S, T = _checked_stacks(ids, self.n, self.S, self.T)
         if not len(self.privatized) == len(self.budget_used) == len(ids):
             raise ValidationError(f"site {ids[0]!r}: one privatized flag and budget per site")
+        _check_budgets(ids, self.privatized, self.budget_used)
         self.__dict__.update(site_ids=ids, n=n, S=S, T=T, privatized=tuple(self.privatized),
                              budget_used=tuple(self.budget_used))
 

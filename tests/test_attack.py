@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import math
 
@@ -19,7 +21,7 @@ from fedlmm import (
     hamming_sorted,
     reconstruct,
 )
-from fedlmm.attack import _Search, _binary_gram_bounds_hold, _patterns, clamp_gram
+from fedlmm.attack import _Search, _binary_gram_bounds_hold, _counts_to_matrix, _patterns, clamp_gram
 
 from oracles import gram_fibers
 
@@ -273,6 +275,44 @@ class TestGramBounds:
         assert _binary_gram_bounds_hold(X.T @ X, X.shape[0])
 
 
+class TestExactPrune:
+    """The rows' budget prunes the exact search only where no design lies."""
+
+    @pytest.mark.parametrize("n, p, grams, empty", [(3, 3, 144, 24), (4, 3, 417, 88)])
+    def test_every_passing_gram_matches_its_fiber(self, n, p, grams, empty):
+        # Every symmetric integer Gram with entries in [0, n] that passes the
+        # pairwise bounds, with or without a design: the budget fires on
+        # these grids, and a Gram with no design must come back empty.
+        fibers = gram_fibers(n, p)
+        iu = np.triu_indices(p)
+        seen = collections.Counter()
+        for vals in itertools.product(range(n + 1), repeat=len(iu[0])):
+            gram = np.zeros((p, p), dtype=np.int64)
+            gram[iu] = vals
+            gram[(iu[1], iu[0])] = vals
+            if not _binary_gram_bounds_hold(gram, n):
+                continue
+            fiber = fibers.get(tuple(gram.ravel()), set())
+            sols = enumerate_reconstructions(FeasibilityInstance(gram=gram, n=n))
+            assert len(sols) == len(fiber)
+            assert {_row_multiset(s) for s in sols} == fiber
+            seen[bool(fiber)] += 1
+        assert (sum(seen.values()), seen[False]) == (grams, empty)
+
+    def test_budget_prunes_nodes_not_solutions(self):
+        # The Gram of a 6 x 5 design with two designs in its fiber.  Without
+        # the budget the exact search expands 16,508 nodes; with it, 2,058.
+        gram = np.array([[3, 3, 2, 2, 2], [3, 6, 3, 4, 4], [2, 3, 3, 3, 2],
+                         [2, 4, 3, 4, 3], [2, 4, 2, 3, 4]])
+        search = _Search(5, 6, deadline=math.inf)
+        sols = search.enumerate_exact(gram, limit=None)
+        assert search.nodes == 2058
+        designs = [["".join(map(str, row)) for row in
+                    _counts_to_matrix(c, search.patterns, 6).tolist()] for c in sols]
+        assert designs == [["11111", "11111", "01110", "01011", "11000", "01001"],
+                           ["11111", "11110", "01111", "11001", "01011", "01000"]]
+
+
 class TestHammingSorted:
     def test_identical(self):
         A = np.array([[0, 1], [1, 0]])
@@ -365,3 +405,24 @@ class TestPipeline:
                 assert result.matrix_rate == 0
                 assert result.element_rate is not None
         assert seen_repair
+
+    def test_reconstructed_designs_golden(self):
+        # Which design of a fiber reconstruct returns, and which the repair
+        # returns, is invisible to the rate CSVs: pin (status, X_hat,
+        # violation, hamming) over seeded replicates of three cells at three
+        # levels, the draws seeded as run_reconstruction_cell seeds them.
+        digest = hashlib.sha256()
+        statuses = collections.Counter()
+        for n, p in ((3, 3), (5, 5), (6, 5)):
+            for eps in (None, 8.0, 2.0):
+                budget = None if eps is None else calibrate(eps, delta=0.01, p=p)
+                for rep in range(20):
+                    ss = np.random.SeedSequence(entropy=[22, n, p, int(eps or 0), rep])
+                    x_state, noise_state = ss.generate_state(2, np.uint64)
+                    X = (np.random.default_rng(int(x_state)).random((n, p)) < 0.5).astype(np.int8)
+                    result = attack_pipeline(X, budget, rng_seed=int(noise_state))
+                    statuses[result.status] += 1
+                    digest.update(f"{result.status}|{result.violation}|{result.hamming}|".encode())
+                    digest.update(result.X_hat.tobytes())
+        assert statuses == {"unique": 69, "feasible-multiple": 4, "infeasible-repaired": 107}
+        assert digest.hexdigest() == "6118c71903408e7602cb996f468ef16e4bce1586b4ded1388f40b06e71421b8d"

@@ -75,6 +75,16 @@ class TestGenerate:
             with pytest.raises(ValidationError, match="^K must be"):
                 Scenario("ri-correct", K=K)
 
+    @pytest.mark.parametrize("tau2", [-1.0, -1e-300, np.nan, np.inf, True, "1.0"])
+    def test_bad_tau2(self, tau2):
+        with pytest.raises(ValidationError, match="^tau2 must be a finite number >= 0, got "):
+            Scenario("ri-correct", K=3, tau2=tau2)
+
+    @pytest.mark.parametrize("tau2", [0, 0.0, np.float64(0.5), 2])
+    def test_tau2_zero_and_positive_accepted(self, tau2):
+        sites = generate(Scenario("ri-correct", K=3, tau2=tau2), 1)
+        assert len(sites) == 3 and all(np.isfinite(s.y).all() for s in sites)
+
 
 class TestEstimationStudy:
     def test_rows_well_formed(self):

@@ -320,6 +320,16 @@ class TestFederatedSummarySet:
         with pytest.raises(ValidationError, match="^site 'a': "):
             FederatedSummarySet(**fields)
 
+    @pytest.mark.parametrize("privatized, budgeted, message", [
+        ((False, True, False), (False,) * 3, "site 'b': privatized is True but budget_used is None"),
+        ((False,) * 3, (False, False, True), "site 'c': privatized is False but budget_used is set"),
+    ], ids=["flag-without-budget", "budget-without-flag"])
+    def test_privatized_flag_must_match_budget(self, rng, privatized, budgeted, message):
+        budget_used = tuple(calibrate(8.0, 0.01, p=2) if b else None for b in budgeted)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FederatedSummarySet(**{**self._fields(rng), "privatized": privatized,
+                                   "budget_used": budget_used})
+
     def test_duplicate_site_id(self, rng):
         with pytest.raises(ValidationError, match="duplicate site_id 'b'"):
             FederatedSummarySet(**{**self._fields(rng), "site_ids": ("a", "b", "b")})
@@ -435,6 +445,16 @@ class TestExchangeFormat:
         obj[key] = value  # a privatized file without its budget, or a budget on exact data
         with pytest.raises(ValidationError, match="^malformed summary object: site 'dp': 'privatized'"):
             summary_from_dict(obj)
+
+    @pytest.mark.parametrize("privatized, budget, message", [
+        (True, False, "site 'a': privatized is True but budget_used is None"),
+        (False, True, "site 'a': privatized is False but budget_used is set"),
+    ], ids=["flag-without-budget", "budget-without-flag"])
+    def test_site_summary_flag_must_match_budget(self, privatized, budget, message):
+        # Refused when built, so save_summary never writes a file load_summary refuses.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SiteSummary(site_id="a", n=2, S=np.eye(2), T=np.zeros((2, 2)), privatized=privatized,
+                        budget_used=calibrate(8.0, 0.01, p=1) if budget else None)
 
     def test_missing_budget_field(self, rng):
         obj = self._released_dict(rng)
