@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import CapacityError, SolverTimeoutError, ValidationError
 from .privacy import PrivacyBudget, _site_stream
-from .summaries import is_integer
+from .summaries import require_count
 
 
 # Largest p the solver accepts.  The exact and repair searches recurse
@@ -76,10 +76,7 @@ class FeasibilityInstance:
         g = g.astype(np.int64)
         if not np.array_equal(g, g.T):
             raise ValidationError("gram must be symmetric")
-        if not is_integer(self.n):
-            raise ValidationError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
+        require_count("n", self.n)
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
 

@@ -15,7 +15,8 @@ only.  :func:`privatize` releases a whole summary set in one call.  It
 perturbs every entry, or only the entries that touch a given set of
 sensitive design columns.  Each site's noise comes from its own stream,
 keyed by (seed, site id), so the stream layout is part of the released
-bytes.
+bytes.  Each released site carries the budget it was made under, and a
+site that carries one is refused a second release.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .summaries import FederatedSummarySet, is_integer
+from .summaries import FederatedSummarySet, is_integer, require_count
 
 
 def gaussian_sigma(delta_f: float, epsilon: float, delta: float) -> float:
@@ -69,8 +70,7 @@ def sensitivity_binary_gram(p: int) -> float:
     Replacing one record x in {0,1}^p by x* changes X'X by xx' - x*x*',
     whose Frobenius norm is at most ||x||^2 + ||x*||^2 <= 2p.
     """
-    if not (is_integer(p) and p >= 1):
-        raise ValidationError("p must be a positive integer")
+    require_count("p", p)
     return 2.0 * p
 
 
@@ -116,15 +116,14 @@ def privatize(
     other sites of the set, nor on their order.  That stream layout is
     part of the released bytes.
 
-    A site can be privatized once: there is no composition accounting, so a
-    set that holds a privatized site is refused.
+    Every released site carries ``budget``.  A site can be privatized
+    once: there is no composition accounting, so a set that holds a site
+    with a budget is refused.
     """
-    if summaries.any_privatized:
-        site_id = summaries.site_ids[summaries.privatized.index(True)]
-        raise ValidationError(
-            f"site {site_id!r} is already privatized; "
-            "repeated release would need budget composition accounting"
-        )
+    for site_id, used in zip(summaries.site_ids, summaries.budget_used):
+        if used is not None:
+            raise ValidationError(f"site {site_id!r} is already privatized; "
+                                  "repeated release would need budget composition accounting")
     d = summaries.p + 1
     bad = [j for j in sensitive if not (is_integer(j) and 1 <= j <= summaries.p)]
     if bad:
@@ -137,6 +136,5 @@ def privatize(
         touches = np.zeros(d, dtype=bool)
         touches[list(sensitive)] = True
         U = U * (touches[:, None] | touches[None, :]).astype(float)
-    K = summaries.K
     return FederatedSummarySet(summaries.site_ids, summaries.n, summaries.S + U[:, 0],
-                               summaries.T + U[:, 1], (True,) * K, (budget,) * K)
+                               summaries.T + U[:, 1], (budget,) * summaries.K)

@@ -25,7 +25,7 @@ from . import attack as attack_mod
 from .errors import FedLMMError, ValidationError
 from .estimator import fit_ml
 from .privacy import calibrate, privatize
-from .summaries import SiteData, compute_summary, is_integer, merge_summaries, standardize
+from .summaries import SiteData, compute_summary, merge_summaries, require_count, standardize
 from .variance import apply_correction, correction_factor, cr0
 
 # The study arms in row order.  Each has the noise-stream index j of its
@@ -60,14 +60,6 @@ SCENARIOS = {
 }
 
 
-def _require_count(name: str, value) -> None:
-    """Refuse a count that is not an integer (a bool is not one) or is below 1."""
-    if not is_integer(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One cell of the estimation experiment, named after an entry of ``SCENARIOS``.
@@ -87,7 +79,7 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}")
-        _require_count("K", self.K)
+        require_count("K", self.K)
         tau2 = self.tau2
         real = type(tau2) is not bool and isinstance(tau2, (int, float, np.integer, np.floating))
         if not (real and math.isfinite(tau2) and tau2 >= 0):
@@ -279,7 +271,7 @@ def run_estimation_study(
     workers: int = 1,
 ) -> list[MetricRow]:
     """Replicated arms on common random numbers; failures never abort the study."""
-    _require_count("reps", reps)
+    require_count("reps", reps)
     if not arms or any(a not in ARMS for a in arms):
         raise ValidationError(f"arms must be one or more of {list(ARMS)}, got {list(arms)}")
     # Refuse here what every replicate would refuse, before a failed
@@ -415,7 +407,7 @@ def run_reconstruction_cell(
     failure count reported alongside.
     """
     for name, value in (("n", n), ("p", p), ("reps", reps)):
-        _require_count(name, value)
+        require_count(name, value)
     budget = None if epsilon0 is None else calibrate(float(epsilon0), delta=delta, p=p)
     matrix_hits = 0
     element_rates = []
@@ -459,11 +451,11 @@ def run_reconstruction_study(
     finite timeout, and every level other than the reference (None)
     calibrated at every p.
     """
-    _require_count("reps", reps)
+    require_count("reps", reps)
     for n in n_values:
-        _require_count("n", n)
+        require_count("n", n)
     for p in p_values:
-        _require_count("p", p)
+        require_count("p", p)
         attack_mod.check_solver_limits(p, timeout_s)
         for eps in epsilon0_values:
             if eps is not None:

@@ -11,6 +11,11 @@ laid out "y-first": row/column 0 is the outcome block, rows/columns 1..p
 the design columns.  T is rank one by construction, T = s s' with
 s = (1'y, 1'X).  These two matrices, together with n, are sufficient to
 rebuild the pooled random-intercept likelihood at the coordinator.
+
+A release carries the budget it was made under (``budget_used``), and
+exact summaries carry none: the budget is the one record of whether a
+summary is privatized.  The exchange file still writes a ``privatized``
+flag beside its budget, and a file whose two disagree is refused.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class SiteData:
         y = np.asarray(self.y, dtype=float).reshape(-1)
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
-            raise ValidationError(f"X must be a 2-D matrix, got ndim={X.ndim}")
+            raise ValidationError(f"site {self.site_id!r}: X must be a 2-D matrix, got ndim={X.ndim}")
         if y.shape[0] < 1:
             raise ValidationError(f"site {self.site_id!r}: needs at least one row")
         if X.shape[1] < 1:
@@ -85,24 +90,27 @@ class SiteSummary:
     n: int
     S: np.ndarray
     T: np.ndarray
-    privatized: bool = False
-    budget_used: object | None = None  # privacy.PrivacyBudget when privatized
+    budget_used: object | None = None  # the privacy.PrivacyBudget of a release; None when exact
 
     def __post_init__(self):
-        _, S, T = _checked_stacks((self.site_id,), [self.n], [self.S], [self.T])
-        _check_budgets((self.site_id,), (self.privatized,), (self.budget_used,))
-        self.__dict__.update(S=S[0], T=T[0])
+        n, S, T = _checked_stacks((self.site_id,), [self.n], [self.S], [self.T])
+        self.__dict__.update(n=n[0].item(), S=S[0], T=T[0])
 
     @property
     def p(self) -> int:
         return self.S.shape[0] - 1
 
+    @property
+    def privatized(self) -> bool:
+        """Whether this summary is a release, that is, carries a budget."""
+        return self.budget_used is not None
+
     def validate_unprivatized_structure(self) -> None:
         """Check the structural invariants that exact summaries must satisfy.
 
         S must be positive semidefinite and T must be positive semidefinite
-        of rank <= 1.  Only meaningful when ``privatized`` is False; noisy
-        summaries legitimately violate both.
+        of rank <= 1.  Only meaningful for exact summaries (no budget);
+        noisy releases legitimately violate both.
         """
         if self.privatized:
             return
@@ -123,14 +131,29 @@ def is_integer(value) -> bool:
     return type(value) is not bool and isinstance(value, (int, np.integer))
 
 
+def require_count(name: str, value) -> None:
+    """Refuse a count that is not an integer (a bool is not one) or is below 1."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
     """(n, S, T) of the sites ``ids`` as read-only stacks, checked.
 
-    n must have shape (K,) and S and T shape (K, p+1, p+1) with p >= 1;
-    each n_k must be an integer (not a bool) >= 1, and each S_k and T_k
-    finite and exactly symmetric.  An error names the first site that
-    fails a check.
+    n must have shape (K,) and S and T shape (K, p+1, p+1) with p >= 1,
+    one p for every site; each n_k must be an integer (not a bool) >= 1,
+    and each S_k and T_k finite and exactly symmetric.  An error names the
+    first site that fails a check.
     """
+    # A list of sites may hold two p, which numpy cannot stack; an array stack holds one.
+    for stack in (x for x in (S, T) if isinstance(x, (list, tuple))):
+        p = [np.shape(M)[-1] - 1 if np.ndim(M) else -1 for M in stack]
+        for site_id, p_k in zip(ids, p):
+            if p_k != p[0]:
+                raise ValidationError(f"dimension mismatch: site {site_id!r} has p={p_k}, "
+                                      f"expected p={p[0]}")
     n, S, T = np.array(n, dtype=object), np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     K, d = len(ids), S.shape[-1] if S.ndim else 0
     if n.shape != (K,) or S.shape != (K, d, d) or T.shape != S.shape or d < 2:
@@ -218,18 +241,7 @@ def compute_summary(data: SiteData) -> SiteSummary:
             S = A.T @ A  # numpy's syrk path, which mirrors one triangle onto the other
             s = A.sum(axis=0)
         T = np.outer(s, s)
-    return SiteSummary(site_id=data.site_id, n=data.n, S=S, T=T, privatized=False)
-
-
-def _check_budgets(ids: tuple[str, ...], privatized, budget_used) -> None:
-    """Refuse a site whose privatized flag disagrees with its budget.
-
-    A release carries the budget it was made under; exact summaries carry none.
-    """
-    for site_id, flag, budget in zip(ids, privatized, budget_used):
-        if bool(flag) != (budget is not None):
-            raise ValidationError(f"site {site_id!r}: privatized is {bool(flag)} "
-                                  f"but budget_used is {'None' if budget is None else 'set'}")
+    return SiteSummary(site_id=data.site_id, n=data.n, S=S, T=T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +257,7 @@ class FederatedSummarySet:
     n: np.ndarray
     S: np.ndarray
     T: np.ndarray
-    privatized: tuple[bool, ...]  # per site
-    budget_used: tuple  # per site: privacy.PrivacyBudget or None
+    budget_used: tuple  # per site: privacy.PrivacyBudget of its release, or None when exact
 
     def __post_init__(self):
         ids = tuple(self.site_ids)
@@ -255,11 +266,9 @@ class FederatedSummarySet:
         if len(set(ids)) < len(ids):
             raise ValidationError(f"duplicate site_id {next(s for s in ids if ids.count(s) > 1)!r}")
         n, S, T = _checked_stacks(ids, self.n, self.S, self.T)
-        if not len(self.privatized) == len(self.budget_used) == len(ids):
-            raise ValidationError(f"site {ids[0]!r}: one privatized flag and budget per site")
-        _check_budgets(ids, self.privatized, self.budget_used)
-        self.__dict__.update(site_ids=ids, n=n, S=S, T=T, privatized=tuple(self.privatized),
-                             budget_used=tuple(self.budget_used))
+        if len(self.budget_used) != len(ids):
+            raise ValidationError(f"site {ids[0]!r}: one budget (or None) per site")
+        self.__dict__.update(site_ids=ids, n=n, S=S, T=T, budget_used=tuple(self.budget_used))
 
     def __len__(self) -> int:
         return len(self.site_ids)
@@ -267,7 +276,7 @@ class FederatedSummarySet:
     def __getitem__(self, k: int) -> SiteSummary:
         site = object.__new__(SiteSummary)  # a row of a checked stack: no second check
         site.__dict__.update(site_id=self.site_ids[k], n=self.n[k].item(), S=self.S[k], T=self.T[k],
-                             privatized=self.privatized[k], budget_used=self.budget_used[k])
+                             budget_used=self.budget_used[k])
         return site
 
     K = property(__len__)
@@ -282,22 +291,16 @@ class FederatedSummarySet:
 
     @property
     def any_privatized(self) -> bool:
-        return any(self.privatized)
+        return any(b is not None for b in self.budget_used)
 
 
 def merge_summaries(summaries: Sequence[SiteSummary]) -> FederatedSummarySet:
     """Stack per-site summaries, all of one dimension p, into one ordered set."""
-    for s in summaries:
-        if s.p != summaries[0].p:
-            raise ValidationError(
-                f"dimension mismatch: site {s.site_id!r} has p={s.p}, expected p={summaries[0].p}"
-            )
     return FederatedSummarySet(
         site_ids=[s.site_id for s in summaries],
         n=[s.n for s in summaries],
         S=[s.S for s in summaries],
         T=[s.T for s in summaries],
-        privatized=[s.privatized for s in summaries],
         budget_used=[s.budget_used for s in summaries],
     )
 
@@ -433,9 +436,7 @@ def summary_from_dict(obj: dict) -> SiteSummary:
             **{f.name: float(b[f.name]) for f in fields(PrivacyBudget)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed summary object: {exc}") from exc
-    summary = SiteSummary(
-        site_id=site_id, n=n, S=S, T=T, privatized=privatized, budget_used=budget
-    )
+    summary = SiteSummary(site_id=site_id, n=n, S=S, T=T, budget_used=budget)
     summary.validate_unprivatized_structure()
     return summary
 

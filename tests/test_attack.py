@@ -242,6 +242,16 @@ class TestReconstruct:
         with pytest.raises(ValidationError, match="integer"):
             FeasibilityInstance(gram=np.eye(2, dtype=int), n=n)
 
+    @pytest.mark.parametrize("gram", [np.ones((2, 3), dtype=int), np.ones(3, dtype=int)],
+                             ids=["rectangular", "vector"])
+    def test_non_square_gram_rejected(self, gram):
+        with pytest.raises(ValidationError, match="^gram must be square$"):
+            FeasibilityInstance(gram=gram, n=2)
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValidationError, match="^n must be >= 1, got 0$"):
+            FeasibilityInstance(gram=np.eye(2, dtype=int), n=0)
+
     def test_numpy_integer_n_accepted(self):
         result = reconstruct(FeasibilityInstance(gram=np.eye(2, dtype=int), n=np.int64(3)))
         assert result.status == "unique" and result.X_hat.shape == (3, 2)

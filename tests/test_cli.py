@@ -68,6 +68,21 @@ class TestSummarize:
                   "--covariates", "x", "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("covariates", ["", ", ,"], ids=["empty", "blank-items"])
+    def test_no_covariate(self, clinic_csv, tmp_path, capsys, covariates):
+        rc = run(["summarize", "--csv", str(clinic_csv), "--outcome", "ct",
+                  "--covariates", covariates, "--out", str(tmp_path / "o")])
+        assert (rc, capsys.readouterr().err) == (1, "error: need at least one covariate\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_unopenable_csv(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        rc = run(["summarize", "--csv", str(missing), "--outcome", "y",
+                  "--covariates", "x", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith(f"error: cannot open {missing}: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_cell_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("y,x\n1.0,2.0\n3.0,oops\n")

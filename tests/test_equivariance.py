@@ -58,14 +58,14 @@ _RTOL = 1e-9
 def _reordered(sset, order) -> FederatedSummarySet:
     return FederatedSummarySet(
         tuple(sset.site_ids[k] for k in order), sset.n[order], sset.S[order], sset.T[order],
-        tuple(sset.privatized[k] for k in order), tuple(sset.budget_used[k] for k in order),
+        tuple(sset.budget_used[k] for k in order),
     )
 
 
 def _congruent(sset, L) -> FederatedSummarySet:
     S, T = (L @ M @ L.T for M in (sset.S, sset.T))
     return FederatedSummarySet(sset.site_ids, sset.n, (S + S.swapaxes(1, 2)) / 2,
-                               (T + T.swapaxes(1, 2)) / 2, sset.privatized, sset.budget_used)
+                               (T + T.swapaxes(1, 2)) / 2, sset.budget_used)
 
 
 def _close(value: float, expected: float) -> bool:

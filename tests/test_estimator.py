@@ -89,6 +89,9 @@ class TestLoglikML:
             Theta(beta=[0.0], sigma2=0.0, tau2=0.0)
         with pytest.raises(ValidationError):
             Theta(beta=[0.0], sigma2=1.0, tau2=-0.1)
+        for beta in ([0.0, np.nan], [np.inf], []):
+            with pytest.raises(ValidationError, match="^beta must be a finite vector$"):
+                Theta(beta=beta, sigma2=1.0, tau2=0.0)
 
 
 class TestProfileBeta:

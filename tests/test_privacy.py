@@ -52,10 +52,10 @@ class TestSensitivityBinaryGram:
         assert worst == pytest.approx(p)
 
     def test_rejects_bad_p(self):
-        for p in (0, True):
-            with pytest.raises(ValidationError, match="p must be a positive integer"):
+        for p, message in ((0, "p must be >= 1, got 0"), (True, "p must be an integer, got True")):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
                 sensitivity_binary_gram(p)
-            with pytest.raises(ValidationError, match="p must be a positive integer"):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
                 calibrate(8.0, 0.01, p=p)
 
 
@@ -110,7 +110,7 @@ class TestPrivatize:
         noisy = privacy.privatize(base_set, _budget(eps0=1e9), rng_seed=4)
         assert np.abs(noisy.S - base_set.S).max() < 1e-6
         assert np.abs(noisy.T - base_set.T).max() < 1e-6
-        assert noisy.privatized == (True,) and noisy.budget_used[0] is not None
+        assert noisy.any_privatized and noisy[0].privatized and noisy.budget_used[0] is not None
 
     def test_deterministic_per_seed(self, base_set):
         a = privacy.privatize(base_set, _budget(), rng_seed=11)
@@ -136,6 +136,14 @@ class TestPrivatize:
         noisy = privacy.privatize(base_set, _budget(), rng_seed=0)
         with pytest.raises(ValidationError, match="site 'clinic-a' is already privatized"):
             privacy.privatize(noisy, _budget(), rng_seed=1)
+
+    def test_mixed_set_names_its_released_site(self, base_summary, rng):
+        other = compute_summary(SiteData(site_id="clinic-b", y=rng.normal(size=4),
+                                         X=rng.normal(size=(4, 6))))
+        mixed = merge_summaries([base_summary, privatize(other, _budget(), rng_seed=0)])
+        assert mixed.any_privatized and not mixed[0].privatized
+        with pytest.raises(ValidationError, match="^site 'clinic-b' is already privatized; "):
+            privacy.privatize(mixed, _budget(), rng_seed=1)
 
     def test_subset_scope_masks_exactly(self, base_set):
         sensitive = frozenset({4, 5, 6})
@@ -174,7 +182,7 @@ class TestPrivatize:
 
 def _released_bytes(released, k):
     return (released.site_ids[k], released.n[k], released.S[k].tobytes(), released.T[k].tobytes(),
-            released.privatized[k], released.budget_used[k])
+            released.budget_used[k])
 
 
 @settings(max_examples=60, deadline=None)

@@ -217,6 +217,11 @@ class TestAggregation:
         with pytest.raises(ValidationError):
             se_calibration([self._row()])
 
+    def test_no_usable_rows(self):
+        rows = [self._row(replicate=0, failed=True), self._row(replicate=1, beta_hat=None)]
+        with pytest.raises(ValidationError, match="^no usable rows to aggregate$"):
+            se_calibration(rows)
+
 
 class TestPrivacyCostSlope:
     def _rows_for(self, Ks, eps, costs_fn, reps=40, seed=0):
@@ -260,6 +265,15 @@ class TestPrivacyCostSlope:
         rows = self._rows_for([20, 50], [16.0], lambda K, e, r: 1.0 / K)
         with pytest.raises(ValidationError, match="3 distinct"):
             privacy_cost_slope(rows, versus="inv_K")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(versus="K"), "unknown axis 'K'"),
+        (dict(statistic="mode"), "unknown statistic 'mode'"),
+    ], ids=["axis", "statistic"])
+    def test_unknown_option_rejected(self, kwargs, message):
+        rows = self._rows_for([20, 50, 100], [16.0], lambda K, e, r: 1.0 / K)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            privacy_cost_slope(rows, **kwargs)
 
     def test_zero_cost_rejected(self):
         rows = self._rows_for([20, 50, 100], [16.0], lambda K, e, r: 0.0)

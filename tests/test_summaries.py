@@ -166,6 +166,17 @@ def test_small_site_gram_equals_averaged_gram(A):
     assert s.S.tobytes() == averaged_gram(A).tobytes()
 
 
+@pytest.mark.parametrize("y, X, message", [
+    ([1.0, 2.0], [1.0, 2.0], "X must be a 2-D matrix, got ndim=1"),
+    (np.zeros(0), np.zeros((0, 2)), "needs at least one row"),
+    ([1.0], np.zeros((1, 0)), "needs at least one covariate column"),
+    ([1.0, 2.0], [[1.0]], "X has 1 rows but y has 2"),
+], ids=["X-not-2d", "no-rows", "no-columns", "row-mismatch"])
+def test_site_data_refusals_name_the_site(y, X, message):
+    with pytest.raises(ValidationError, match=f"^site 'a': {message}$"):
+        SiteData(site_id="a", y=y, X=X)
+
+
 def test_rejects_nonfinite():
     with pytest.raises(ValidationError):
         SiteData(site_id="a", y=[np.nan], X=[[1.0]])
@@ -271,13 +282,13 @@ class TestFederatedSummarySet:
     def _fields(rng):
         A, s = rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3))
         return dict(site_ids=("a", "b", "c"), n=np.array([2, 3, 4]), S=A + A.swapaxes(1, 2),
-                    T=s[:, :, None] * s[:, None, :], privatized=(False,) * 3, budget_used=(None,) * 3)
+                    T=s[:, :, None] * s[:, None, :], budget_used=(None,) * 3)
 
     def test_stacks_and_sites(self, rng):
         fields = self._fields(rng)
         sset = FederatedSummarySet(**fields)
         assert (sset.K, sset.p, sset.N, len(sset)) == (3, 2, 9, 3)
-        assert (sset.privatized, sset.budget_used, sset.any_privatized) == ((False,) * 3, (None,) * 3, False)
+        assert (sset.budget_used, sset.any_privatized) == ((None,) * 3, False)
         site = sset[1]
         assert (site.site_id, site.n, site.privatized, site.budget_used) == ("b", 3, False, None)
         assert site.S.tobytes() == fields["S"][1].tobytes() and site.T.tobytes() == fields["T"][1].tobytes()
@@ -312,7 +323,7 @@ class TestFederatedSummarySet:
         ("T", lambda f: f["T"][:, :2, :2]),
         ("S", lambda f: f["S"][:2]),
         ("n", lambda f: f["n"][:2]),
-        ("privatized", lambda f: (False, False)),
+        ("budget_used", lambda f: (None, None)),
     ])
     def test_shape_mismatch(self, rng, name, value):
         fields = self._fields(rng)
@@ -320,15 +331,19 @@ class TestFederatedSummarySet:
         with pytest.raises(ValidationError, match="^site 'a': "):
             FederatedSummarySet(**fields)
 
-    @pytest.mark.parametrize("privatized, budgeted, message", [
-        ((False, True, False), (False,) * 3, "site 'b': privatized is True but budget_used is None"),
-        ((False,) * 3, (False, False, True), "site 'c': privatized is False but budget_used is set"),
-    ], ids=["flag-without-budget", "budget-without-flag"])
-    def test_privatized_flag_must_match_budget(self, rng, privatized, budgeted, message):
-        budget_used = tuple(calibrate(8.0, 0.01, p=2) if b else None for b in budgeted)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            FederatedSummarySet(**{**self._fields(rng), "privatized": privatized,
-                                   "budget_used": budget_used})
+    def test_a_site_with_a_budget_is_privatized(self, rng):
+        budget = calibrate(8.0, 0.01, p=2)
+        sset = FederatedSummarySet(**{**self._fields(rng), "budget_used": (None, budget, None)})
+        assert sset.any_privatized and sset.budget_used == (None, budget, None)
+        assert [sset[k].privatized for k in range(3)] == [False, True, False]
+        assert sset[1].budget_used is budget
+
+    @pytest.mark.parametrize("name", ["S", "T"])
+    def test_sites_of_different_p_name_the_site(self, rng, name):
+        fields = self._fields(rng)
+        fields[name] = [fields[name][0], np.eye(4), fields[name][2]]  # site b has p = 3
+        with pytest.raises(ValidationError, match="^dimension mismatch: site 'b' has p=3, expected p=2$"):
+            FederatedSummarySet(**fields)
 
     def test_duplicate_site_id(self, rng):
         with pytest.raises(ValidationError, match="duplicate site_id 'b'"):
@@ -383,6 +398,21 @@ class TestStandardize:
         beta_std = dense_gls_beta(sigma2 * c**2 / f, tau2 * c**2 / f, std)
         np.testing.assert_allclose(record.beta_to_original(beta_std), beta_raw, rtol=1e-9)
 
+    def test_needs_a_site(self):
+        with pytest.raises(ValidationError, match="^standardize needs at least one site$"):
+            standardize([])
+
+    def test_column_0_must_be_the_intercept(self, rng):
+        sites = self._sites(rng)
+        sites[1] = SiteData(site_id="s1", y=sites[1].y, X=sites[1].X * 2.0)
+        with pytest.raises(ValidationError, match="^column 0 is not the constant-one intercept$"):
+            standardize(sites)
+
+    def test_zero_variance_outcome(self, rng):
+        sites = [SiteData(site_id=s.site_id, y=np.full(s.n, 3.0), X=s.X) for s in self._sites(rng)]
+        with pytest.raises(ValidationError, match="^zero-variance outcome$"):
+            standardize(sites)
+
     def test_constant_column_error(self, rng):
         sites = self._sites(rng)
         bad = [
@@ -425,6 +455,18 @@ class TestExchangeFormat:
         with pytest.raises(ValidationError, match="positive semidefinite"):
             summary_from_dict(obj)
 
+    @pytest.mark.parametrize("T, message", [
+        ([[1.0, 0.0], [0.0, -1.0]], "T is not positive semidefinite"),
+        ([[1.0, 0.0], [0.0, 1.0]], "T is not rank one"),
+    ], ids=["T-not-psd", "T-not-rank-one"])
+    def test_exact_file_with_broken_T_is_refused(self, tmp_path, T, message):
+        obj = summary_to_dict(SiteSummary(site_id="bad", n=2, S=np.eye(2), T=np.zeros((2, 2))))
+        obj["T"] = [v for row in T for v in row]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=f"^site 'bad': {message}$"):
+            load_summary(path)
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -446,15 +488,20 @@ class TestExchangeFormat:
         with pytest.raises(ValidationError, match="^malformed summary object: site 'dp': 'privatized'"):
             summary_from_dict(obj)
 
-    @pytest.mark.parametrize("privatized, budget, message", [
-        (True, False, "site 'a': privatized is True but budget_used is None"),
-        (False, True, "site 'a': privatized is False but budget_used is set"),
-    ], ids=["flag-without-budget", "budget-without-flag"])
-    def test_site_summary_flag_must_match_budget(self, privatized, budget, message):
-        # Refused when built, so save_summary never writes a file load_summary refuses.
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            SiteSummary(site_id="a", n=2, S=np.eye(2), T=np.zeros((2, 2)), privatized=privatized,
-                        budget_used=calibrate(8.0, 0.01, p=1) if budget else None)
+    @pytest.mark.parametrize("budget", [None, calibrate(8.0, 0.01, p=1)], ids=["exact", "released"])
+    def test_site_summary_file_flag_is_its_budget(self, tmp_path, budget):
+        # A summary's privatized state is its budget, so every summary saves a file load_summary takes.
+        summary = SiteSummary(site_id="a", n=2, S=np.eye(2), T=np.zeros((2, 2)), budget_used=budget)
+        save_summary(summary, tmp_path / "a.json")
+        assert json.loads((tmp_path / "a.json").read_text())["privatized"] is (budget is not None)
+        assert load_summary(tmp_path / "a.json").budget_used == budget
+
+    def test_numpy_integer_n_round_trips(self, tmp_path):
+        summary = SiteSummary(site_id="a", n=np.int64(2), S=np.eye(2), T=np.zeros((2, 2)))
+        assert type(summary.n) is int
+        save_summary(summary, tmp_path / "a.json")
+        loaded = load_summary(tmp_path / "a.json")
+        assert type(loaded.n) is int and loaded.n == 2
 
     def test_missing_budget_field(self, rng):
         obj = self._released_dict(rng)

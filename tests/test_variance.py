@@ -101,6 +101,24 @@ class TestCorrections:
         with pytest.raises(ValidationError):
             correction_factor("cr1p", K=7, N=100, p=7)
 
+    @pytest.mark.parametrize("correction, K, N, message", [
+        ("cr1", 1, 10, "CR1 needs at least 2 sites"),
+        ("cr1s", 1, 10, r"CR1S needs K >= 2 and N > p \(got K=1, N=10, p=3\)"),
+        ("cr1s", 5, 3, r"CR1S needs K >= 2 and N > p \(got K=5, N=3, p=3\)"),
+        ("cr2", 5, 10, "unknown correction 'cr2'"),
+    ], ids=["cr1-one-site", "cr1s-one-site", "cr1s-few-rows", "unknown"])
+    def test_factor_refusals(self, correction, K, N, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            correction_factor(correction, K=K, N=N, p=3)
+
+    @pytest.mark.parametrize("V, correction, message", [
+        (np.eye(2), "cr2", "unknown correction 'cr2'"),
+        ([[1.0, 0.5], [0.0, 1.0]], "cr0", "variance matrix must be symmetric"),
+    ], ids=["unknown-correction", "asymmetric"])
+    def test_robust_variance_refusals(self, V, correction, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            RobustVariance(V=V, correction=correction, K=5, N=10)
+
     def test_monotone_diagonal(self, rng):
         sites = random_sites(rng, K=9, p=3)
         summ = _summaries(sites)
@@ -149,6 +167,11 @@ class TestWaldCI:
         unit = RobustVariance(V=np.eye(len(v.V)), correction="cr0", K=v.K, N=v.N)
         ci = wald_ci(origin, unit, level=0.95, use_t=use_t)
         assert (ci[:, 1] == want).all() and (ci[:, 0] == -want).all()
+
+    def test_t_quantile_needs_two_sites(self, rng):
+        fit, v = self._fit_v(rng)
+        with pytest.raises(ValidationError, match="^t quantile needs K >= 2$"):
+            wald_ci(fit, replace(v, K=1), level=0.95, use_t=True)
 
     def test_t_quantile_wider(self, rng):
         fit, v = self._fit_v(rng)
