@@ -19,7 +19,8 @@ search then prunes by the rows' budget that the repair's lower bound
 below also uses: no covered slot can exceed the n_rem rows still to
 place, and the diagonal slots together cannot exceed n_rem times the
 popcount of the level's pattern.  It prunes exactly where that bound is
-positive, so it finds the same solutions in the same order.
+positive, so it finds the same solutions in the same order.  The
+diagonal sum goes down the recursion as a Python int.
 
 When rounding noise makes the instance infeasible, the attacker clamps
 the Gram into the ranges a binary design can have (``clamp_gram``) and
@@ -28,22 +29,28 @@ the clamped constraints, so element-level accuracy is always defined.
 That repair is a branch-and-bound over the same pattern order: a greedy
 incumbent, counts tried in descending order under the exact search's
 cap plus the incumbent's violation, and an L1 lower bound at every node.
-The bound adds a diagonal budget to its per-slot terms: at most n_rem
-rows remain, and none covers more diagonal slots than the popcount of
-the level's pattern, so the covered diagonal residuals can fall by at
-most n_rem times that popcount together.  Any positive diagonal residual
-beyond that budget is violation that no completion avoids.
+The bound adds a diagonal and an off-diagonal budget to its per-slot
+terms: at most n_rem rows remain, and none covers more diagonal slots
+than the popcount q of the level's pattern, nor more off-diagonal slots
+than q(q - 1)/2.  So the covered diagonal residuals can fall by at most
+n_rem * q together, and the covered off-diagonal ones by at most
+n_rem * q(q - 1)/2.  Any positive residual beyond its budget is
+violation that no completion avoids.  The bound holds for every
+completion, so the budgets change which nodes the repair expands, not
+its incumbents or their order.
 
 Both searches read the Gram through one table of upper-triangle slots
-(j <= k).  The exact search does numpy operations per node on an int64
-slot vector; the repair keeps plain Python ints, because numpy's
-per-call overhead on at most 45 entries would dominate each of its
-nodes.  Both searches recurse once per pattern, so recursion depth caps
-p at 9.
+(j <= k), built once per p on its first search and shared, read-only,
+by every later one.  The exact search does numpy operations per node on
+an int64 slot vector; the repair keeps plain Python ints, because
+numpy's per-call overhead on at most 45 entries would dominate each of
+its nodes.  Both searches recurse once per pattern, so recursion depth
+caps p at 9.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -52,7 +59,7 @@ import numpy as np
 
 from .errors import CapacityError, SolverTimeoutError, ValidationError
 from .privacy import PrivacyBudget, _site_stream
-from .summaries import require_count
+from .summaries import is_real, require_count
 
 
 # Largest p the solver accepts.  The exact and repair searches recurse
@@ -121,38 +128,71 @@ def _binary_gram_bounds_hold(gram: np.ndarray, n: int) -> bool:
     )
 
 
-class _Search:
-    """The slot table shared by the exact and repair depth-first searches.
+class _SlotTable:
+    """The upper-triangle slot table both depth-first searches read, for one p.
 
-    Per pattern: the upper-triangle slots it covers.  Per level: its
-    pattern's popcount, which bounds each later row's diagonal cover (0 at
-    the leaves), the slots some pattern from there on covers, and the rest.
-    Also the ids of the diagonal slots (j, j).
+    Per pattern: the slots it covers.  Per level: its pattern's popcount q,
+    which bounds each later row's diagonal cover (0 at the leaves), and
+    q(q - 1)/2, which bounds its off-diagonal cover; the slots some pattern
+    from there on covers, split into diagonal and off-diagonal, and the
+    rest.  The exact search reads the slot lists as numpy index arrays, the
+    repair as tuples of plain ints.  Built once per p by ``_slot_table``
+    and shared by every search of that p, so nothing in it is written.
     """
 
-    def __init__(self, p: int, n: int, deadline: float):
-        self.n = n
+    def __init__(self, p: int):
         self.patterns = _patterns(p)
-        self.deadline = deadline
-        self.nodes = 0
         iu, ju = self.triu = np.triu_indices(p)
+        for a in (self.patterns, iu, ju):
+            a.setflags(write=False)
         slot = {jk: s for s, jk in enumerate(zip(iu.tolist(), ju.tolist()))}
-        self.diag = frozenset(slot[j, j] for j in range(p))
-        self.cover: list[tuple[int, ...]] = []
-        self.pop: list[int] = []
+        diag = frozenset(slot[j, j] for j in range(p))
+        cover, pop = [], []
         for u in self.patterns:
             sup = np.flatnonzero(u).tolist()
-            self.cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
-            self.pop.append(len(sup))
-        self.pop.append(0)
-        n_pat, n_slot = len(self.patterns), len(slot)
-        self.covered_from = [()] * (n_pat + 1)
-        self.uncovered_from = [tuple(range(n_slot))] * (n_pat + 1)
+            cover.append(tuple(slot[j, k] for j in sup for k in sup if j <= k))
+            pop.append(len(sup))
+        self.cover = tuple(cover)
+        self.pop = (*pop, 0)
+        self.off_pop = tuple(q * (q - 1) // 2 for q in self.pop)
+        n_pat, n_slot = len(cover), len(slot)
+        covered_from = [()] * (n_pat + 1)
+        uncovered_from = [tuple(range(n_slot))] * (n_pat + 1)
         covered: set[int] = set()
         for idx in range(n_pat - 1, -1, -1):
-            covered.update(self.cover[idx])
-            self.covered_from[idx] = tuple(sorted(covered))
-            self.uncovered_from[idx] = tuple(s for s in range(n_slot) if s not in covered)
+            covered.update(cover[idx])
+            covered_from[idx] = tuple(sorted(covered))
+            uncovered_from[idx] = tuple(s for s in range(n_slot) if s not in covered)
+        self.uncovered_from = tuple(uncovered_from)
+        self.diag_from = tuple(tuple(s for s in slots if s in diag) for slots in covered_from)
+        self.off_from = tuple(tuple(s for s in slots if s not in diag) for slots in covered_from)
+
+        def index(slots):
+            a = np.array(slots, dtype=np.intp)
+            a.setflags(write=False)
+            return a
+
+        self.cover_ix = tuple(map(index, cover))
+        self.covered_ix = tuple(map(index, covered_from))
+        self.uncovered_ix = tuple(map(index, uncovered_from))
+
+
+@functools.cache
+def _slot_table(p: int) -> _SlotTable:
+    """The one slot table of p, built on its first search and kept for the
+    process: a search has p <= 9, so there are at most ten."""
+    return _SlotTable(p)
+
+
+class _Search:
+    """One search over the shared table of its p: n, the deadline and the nodes expanded so far."""
+
+    def __init__(self, p: int, n: int, deadline: float):
+        self.table = _slot_table(p)
+        self.patterns = self.table.patterns
+        self.n = n
+        self.deadline = deadline
+        self.nodes = 0
 
     def _tick(self):
         self.nodes += 1
@@ -171,28 +211,29 @@ class _Search:
         nonzero, when a covered slot exceeds n_rem, or when the diagonal
         residuals sum to more than n_rem * pop[idx] (the repair's budget):
         each is a necessary condition of any completion, so the solutions
-        and their order are those of the unpruned search.
+        and their order are those of the unpruned search.  The diagonal sum
+        goes down the recursion as a Python int, d - c * pop[idx], and the
+        index arrays come from the table of p, built once.
         """
         if not _binary_gram_bounds_hold(gram, self.n):
             return []
+        table = self.table
         sols: list[np.ndarray] = []
         counts = np.zeros(len(self.patterns), dtype=np.int64)
-        R = gram[self.triu].astype(np.int64)
-        cover = [np.array(slots, dtype=np.intp) for slots in self.cover]
-        uncovered_from = [np.array(slots, dtype=np.intp) for slots in self.uncovered_from]
-        covered_from = [np.array(slots, dtype=np.intp) for slots in self.covered_from]
-        diag = np.array(sorted(self.diag), dtype=np.intp)
-        pop = self.pop
+        R = gram[table.triu].astype(np.int64)
+        cover, pop = table.cover_ix, table.pop
+        uncovered_from, covered_from = table.uncovered_ix, table.covered_ix
 
-        def rec(idx: int, n_rem: int) -> bool:
+        def rec(idx: int, n_rem: int, d: int) -> bool:
             self._tick()
-            # Slots no pattern from idx onward can still reach must be 0.
-            if R[uncovered_from[idx]].any():
+            # The repair's budget: the diagonal slots together can fall by
+            # at most n_rem * pop[idx].  d sums every diagonal slot, and an
+            # uncovered one that is nonzero prunes the node below anyway.
+            if d > n_rem * pop[idx]:
                 return True
-            # The repair's budget: no slot can fall by more than n_rem, and
-            # the diagonal slots together by at most n_rem * pop[idx].  The
-            # uncovered ones are 0 by now, so the sum is over the covered.
-            if (R[covered_from[idx]] > n_rem).any() or R[diag].sum() > n_rem * pop[idx]:
+            # Slots no pattern from idx onward can still reach must be 0,
+            # and no covered slot can fall by more than n_rem.
+            if R[uncovered_from[idx]].any() or (R[covered_from[idx]] > n_rem).any():
                 return True
             if idx == len(self.patterns):
                 sols.append(counts.copy())
@@ -203,7 +244,7 @@ class _Search:
                 if c:
                     R[slots] -= c
                 counts[idx] = c
-                keep_going = rec(idx + 1, n_rem - c)
+                keep_going = rec(idx + 1, n_rem - c, d - c * pop[idx])
                 if c:
                     R[slots] += c
                 counts[idx] = 0
@@ -211,7 +252,7 @@ class _Search:
                     return False
             return True
 
-        rec(0, self.n)
+        rec(0, self.n, int(np.trace(gram)))
         return sols
 
     # -- minimum-violation repair -------------------------------------------
@@ -221,20 +262,19 @@ class _Search:
 
         The residual is a flat list of plain ints, one per slot; each
         pattern subtracts its count from the slots it covers.  The lower
-        bound at a node adds a diagonal budget to the per-slot terms:
+        bound at a node adds two rows' budgets to the per-slot terms:
         patterns come in descending popcount, so the n_rem rows still to
-        place lower the covered diagonal slots by at most n_rem times the
-        popcount of the level's pattern in total, and any positive diagonal
-        residual beyond that is violation no completion avoids.
+        place lower the covered diagonal slots by at most n_rem * q in
+        total and the covered off-diagonal slots by at most
+        n_rem * q(q - 1)/2, where q is the popcount of the level's pattern.
+        Any positive residual beyond its budget is violation no completion
+        avoids.  The slot tuples come from the table of p, built once.
         """
+        table = self.table
         n_pat = len(self.patterns)
-        cover, diag, pop = self.cover, self.diag, self.pop
-        uncovered_from = self.uncovered_from
-        # The covered slots per level, split into diagonal and off-diagonal.
-        # Built here, so a Gram the exact search settles pays nothing for them.
-        diag_from = [tuple(s for s in slots if s in diag) for slots in self.covered_from]
-        off_from = [tuple(s for s in slots if s not in diag) for slots in self.covered_from]
-        R = gram[self.triu].tolist()
+        cover, pop, off_pop = table.cover, table.pop, table.off_pop
+        uncovered_from, diag_from, off_from = table.uncovered_from, table.diag_from, table.off_from
+        R = gram[table.triu].tolist()
 
         # Greedy incumbent: exact-style caps all the way down.
         G = R.copy()
@@ -254,27 +294,23 @@ class _Search:
             self._tick()
             # L1 lower bound: slots nothing can reach keep |r|; a reachable
             # slot still costs whatever lies below 0 or above n_rem, and the
-            # reachable diagonal slots together whatever positive residual
-            # lies above the rows' budget n_rem * pop[idx].
+            # reachable diagonal (off-diagonal) slots together whatever
+            # positive residual lies above the rows' budget n_rem * q
+            # (n_rem * q(q - 1)/2), q = pop[idx].
             lb = 0
             for s in uncovered_from[idx]:
                 lb += abs(R[s])
-            for s in off_from[idx]:
-                r = R[s]
-                if r > n_rem:
-                    lb += r - n_rem
-                elif r < 0:
-                    lb -= r
-            above = positive = 0
-            for s in diag_from[idx]:
-                r = R[s]
-                if r > 0:
-                    positive += r
-                    if r > n_rem:
-                        above += r - n_rem
-                elif r < 0:
-                    lb -= r
-            lb += max(above, positive - n_rem * pop[idx])
+            for slots, budget in ((diag_from[idx], pop[idx]), (off_from[idx], off_pop[idx])):
+                above = positive = 0
+                for s in slots:
+                    r = R[s]
+                    if r > 0:
+                        positive += r
+                        if r > n_rem:
+                            above += r - n_rem
+                    elif r < 0:
+                        lb -= r
+                lb += max(above, positive - n_rem * budget)
             if lb >= best:
                 return
             if idx == n_pat:  # every slot is uncovered, so lb is the violation
@@ -310,8 +346,8 @@ def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int) -> np.nd
 
 
 def check_solver_limits(p: int, timeout_s: float) -> None:
-    """Refuse a timeout that is not a positive, finite number of seconds, and p > 9."""
-    if not (timeout_s > 0 and math.isfinite(timeout_s)):
+    """Refuse a timeout that is not a positive, finite number of seconds (a bool is not one), and p > 9."""
+    if not (is_real(timeout_s) and timeout_s > 0 and math.isfinite(timeout_s)):
         raise ValidationError(f"timeout must be a positive number of seconds, got {timeout_s!r}")
     if p > _P_MAX:
         raise CapacityError(f"p={p} exceeds the solver's capacity p <= {_P_MAX}")

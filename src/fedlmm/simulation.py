@@ -25,7 +25,7 @@ from . import attack as attack_mod
 from .errors import FedLMMError, ValidationError
 from .estimator import fit_ml
 from .privacy import calibrate, privatize
-from .summaries import SiteData, compute_summary, merge_summaries, require_count, standardize
+from .summaries import SiteData, compute_summary, is_real, merge_summaries, require_count, standardize
 from .variance import apply_correction, correction_factor, cr0
 
 # The study arms in row order.  Each has the noise-stream index j of its
@@ -81,8 +81,7 @@ class Scenario:
             raise ValidationError(f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}")
         require_count("K", self.K)
         tau2 = self.tau2
-        real = type(tau2) is not bool and isinstance(tau2, (int, float, np.integer, np.floating))
-        if not (real and math.isfinite(tau2) and tau2 >= 0):
+        if not (is_real(tau2) and math.isfinite(tau2) and tau2 >= 0):
             raise ValidationError(f"tau2 must be a finite number >= 0, got {tau2!r}")
 
     @property

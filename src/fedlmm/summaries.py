@@ -131,6 +131,11 @@ def is_integer(value) -> bool:
     return type(value) is not bool and isinstance(value, (int, np.integer))
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float; a bool is not one."""
+    return type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def require_count(name: str, value) -> None:
     """Refuse a count that is not an integer (a bool is not one) or is below 1."""
     if not is_integer(value):
@@ -144,15 +149,23 @@ def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
 
     n must have shape (K,) and S and T shape (K, p+1, p+1) with p >= 1,
     one p for every site; each n_k must be an integer (not a bool) >= 1,
-    and each S_k and T_k finite and exactly symmetric.  An error names the
-    first site that fails a check.
+    and each S_k and T_k a numeric matrix, finite and exactly symmetric.
+    An error names the first site that fails a check.
     """
-    # A list of sites may hold two p, which numpy cannot stack; an array stack holds one.
-    for stack in (x for x in (S, T) if isinstance(x, (list, tuple))):
-        p = [np.shape(M)[-1] - 1 if np.ndim(M) else -1 for M in stack]
-        for site_id, p_k in zip(ids, p):
-            if p_k != p[0]:
-                raise ValidationError(f"dimension mismatch: site {site_id!r} has p={p_k}, "
+    # A list of sites may hold two p, or a site matrix that is ragged or not
+    # numeric, which numpy cannot stack; an array stack holds one p.
+    for name, stack in (("S", S), ("T", T)):
+        if not isinstance(stack, (list, tuple)):
+            continue
+        p = []
+        for site_id, M in zip(ids, stack):
+            try:
+                M = np.asarray(M, dtype=float)
+            except (ValueError, TypeError):
+                raise ValidationError(f"site {site_id!r}: {name} is not a numeric matrix") from None
+            p.append(M.shape[-1] - 1 if M.ndim else -1)
+            if p[-1] != p[0]:
+                raise ValidationError(f"dimension mismatch: site {site_id!r} has p={p[-1]}, "
                                       f"expected p={p[0]}")
     n, S, T = np.array(n, dtype=object), np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     K, d = len(ids), S.shape[-1] if S.ndim else 0

@@ -21,7 +21,14 @@ from fedlmm import (
     hamming_sorted,
     reconstruct,
 )
-from fedlmm.attack import _Search, _binary_gram_bounds_hold, _counts_to_matrix, _patterns, clamp_gram
+from fedlmm.attack import (
+    _Search,
+    _binary_gram_bounds_hold,
+    _counts_to_matrix,
+    _patterns,
+    check_solver_limits,
+    clamp_gram,
+)
 
 from oracles import gram_fibers
 
@@ -41,6 +48,44 @@ def _hard_instance(rng, p=9, n=40):
 
 def _row_multiset(X):
     return tuple(sorted(map(tuple, np.asarray(X))))
+
+
+def _dfs_order(n_pat, n_rem):
+    """Every count vector over n_pat patterns summing to at most n_rem, in the repair's DFS order."""
+    if n_pat == 0:
+        yield ()
+        return
+    for c in range(n_rem, -1, -1):
+        for rest in _dfs_order(n_pat - 1, n_rem - c):
+            yield (c, *rest)
+
+
+def _repair_in_dfs_order(gram, n):
+    """What the repair must return on ``gram``, by brute force.
+
+    The greedy incumbent (exact-style caps all the way down) when that is
+    optimal, else the first minimal-violation count vector in DFS order;
+    returns (counts, violation, whether the greedy incumbent was kept).
+    """
+    patterns = _patterns(gram.shape[0]).astype(np.int64)
+
+    def violations(counts):
+        G = np.einsum("mi,ij,ik->mjk", np.array(counts, dtype=np.int64), patterns, patterns)
+        return np.abs(np.triu(G - gram)).sum(axis=(1, 2))
+
+    G, incumbent, n_rem = gram.copy(), [], n
+    for u in patterns:
+        sup = np.flatnonzero(u)
+        c = min(n_rem, max(0, int(G[np.ix_(sup, sup)].min())))
+        G -= c * np.outer(u, u)
+        incumbent.append(c)
+        n_rem -= c
+    candidates = list(_dfs_order(len(patterns), n))
+    scores = violations(candidates)
+    best = int(scores.min())
+    if violations([incumbent])[0] == best:
+        return tuple(incumbent), best, True
+    return candidates[int(scores.argmin())], best, False
 
 
 class TestReconstruct:
@@ -148,48 +193,38 @@ class TestReconstruct:
         # minimal-violation count vector in DFS order (patterns in
         # `_patterns` order, each count descending from the rows left).
         rng = np.random.default_rng(47)
-
-        def dfs_order(n_pat, n_rem):
-            if n_pat == 0:
-                yield ()
-                return
-            for c in range(n_rem, -1, -1):
-                for rest in dfs_order(n_pat - 1, n_rem - c):
-                    yield (c, *rest)
-
-        def violation(counts, patterns, gram):
-            U = patterns.astype(np.int64)
-            G = U.T @ (np.array(counts, dtype=np.int64)[:, None] * U)
-            return int(np.abs(np.triu(G - gram)).sum())
-
-        def greedy(patterns, gram, n):
-            G, counts, n_rem = gram.copy(), [], n
-            for u in patterns.astype(np.int64):
-                sup = np.flatnonzero(u)
-                c = min(n_rem, max(0, int(G[np.ix_(sup, sup)].min())))
-                G -= c * np.outer(u, u)
-                counts.append(c)
-                n_rem -= c
-            return tuple(counts)
-
         greedy_kept = replaced = 0
         for _ in range(400):
             n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             X = (rng.random((n, p)) < 0.5).astype(np.int64)
             noise = rng.integers(-2, 3, size=(p, p))
             clamped = clamp_gram(X.T @ X + np.triu(noise) + np.triu(noise, 1).T, n)
-            patterns = _patterns(p)
-            candidates = list(dfs_order(len(patterns), n))
-            scores = [violation(c, patterns, clamped) for c in candidates]
-            best = min(scores)
-            incumbent = greedy(patterns, clamped, n)
-            if violation(incumbent, patterns, clamped) == best:
-                expected, greedy_kept = incumbent, greedy_kept + 1
-            else:
-                expected, replaced = candidates[scores.index(best)], replaced + 1
+            expected, best, kept = _repair_in_dfs_order(clamped, n)
+            greedy_kept, replaced = greedy_kept + kept, replaced + (not kept)
             counts, found = _Search(p, n, deadline=math.inf).repair(clamped)
             assert (tuple(counts.tolist()), found) == (expected, best)
         assert greedy_kept and replaced
+
+    def test_repair_tie_rule_p4(self):
+        # The same rule at p = 4, where a level's pattern covers up to
+        # q(q - 1)/2 = 6 off-diagonal slots, so the off-diagonal budget of
+        # the repair's bound is more than one slot per row.  On these 30
+        # instances it cuts the repair from 1,952 nodes to 1,668.
+        rng = np.random.default_rng(54)
+        greedy_kept = replaced = nodes = 0
+        for _ in range(30):
+            n = int(rng.integers(3, 6))
+            X = (rng.random((n, 4)) < 0.5).astype(np.int64)
+            noise = rng.integers(-2, 3, size=(4, 4))
+            clamped = clamp_gram(X.T @ X + np.triu(noise) + np.triu(noise, 1).T, n)
+            expected, best, kept = _repair_in_dfs_order(clamped, n)
+            greedy_kept, replaced = greedy_kept + kept, replaced + (not kept)
+            search = _Search(4, n, deadline=math.inf)
+            counts, found = search.repair(clamped)
+            assert (tuple(counts.tolist()), found) == (expected, best)
+            nodes += search.nodes
+        assert greedy_kept and replaced
+        assert nodes == 1668
 
     def test_repair_timeout_gives_failed(self, rng):
         # A negative off-diagonal fails the bounds, so the exact search
@@ -211,6 +246,15 @@ class TestReconstruct:
                 enumerate_reconstructions(instance)
             with pytest.raises(CapacityError):
                 attack_pipeline(np.zeros((3, p), dtype=np.int8))
+
+    @pytest.mark.parametrize("timeout", [True, False, "1", None])
+    def test_non_number_timeout_rejected(self, timeout):
+        instance = FeasibilityInstance(gram=np.eye(2, dtype=int), n=3)
+        message = f"^timeout must be a positive number of seconds, got {timeout!r}$"
+        with pytest.raises(ValidationError, match=message):
+            reconstruct(instance, timeout_s=timeout)
+        with pytest.raises(ValidationError, match=message):
+            check_solver_limits(3, timeout)
 
     def test_zero_gram_at_capacity_unique(self):
         result = reconstruct(FeasibilityInstance(gram=np.zeros((9, 9), dtype=int), n=3))
@@ -321,6 +365,36 @@ class TestExactPrune:
                     _counts_to_matrix(c, search.patterns, 6).tolist()] for c in sols]
         assert designs == [["11111", "11111", "01110", "01011", "11000", "01001"],
                            ["11111", "11110", "01111", "11001", "01011", "01000"]]
+
+
+class TestRepairBudget:
+    """The rows' off-diagonal budget prunes the repair, not its answer."""
+
+    def test_off_diagonal_budget_prunes_nodes_not_answer(self):
+        # A noisy Gram of a 6 x 5 design (eps0 = 8) that no design meets.
+        # With the diagonal budget alone the repair expands 673 nodes; with
+        # the off-diagonal budget as well, 435, to the same design.
+        gram = np.array([[3, 2, 2, 1, 1], [2, 4, 1, 2, 2], [2, 1, 2, 2, 0],
+                         [1, 2, 2, 3, 1], [1, 2, 0, 1, 2]])
+        assert not enumerate_reconstructions(FeasibilityInstance(gram=gram, n=6))
+        search = _Search(5, 6, deadline=math.inf)
+        counts, violation = search.repair(gram)
+        assert search.nodes == 435
+        design = ["".join(map(str, row)) for row in _counts_to_matrix(counts, search.patterns, 6).tolist()]
+        assert (design, violation) == (["11110", "11001", "01011", "10100", "01000", "00010"], 1)
+
+
+class TestSlotTable:
+    def test_one_read_only_table_per_p(self):
+        a, b = _Search(4, 3, deadline=math.inf), _Search(4, 7, deadline=1.0)
+        assert a.table is b.table and a.patterns is b.patterns
+        assert _Search(5, 3, deadline=math.inf).table is not a.table
+        with pytest.raises(ValueError, match="read-only"):
+            a.patterns[0, 0] = 0
+        # patterns, the two triu index arrays, and 15 + 16 + 16 slot index arrays
+        arrays = [x for v in vars(a.table).values() for x in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(x, np.ndarray)]
+        assert len(arrays) == 50 and not any(x.flags.writeable for x in arrays)
 
 
 class TestHammingSorted:

@@ -722,6 +722,15 @@ class TestEndToEnd:
         assert run(["simulate-reconstruction", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
+    def test_reconstruction_grid_golden_bytes(self, tmp_path):
+        """One CSV over every level and four n by three p: exact, tied and repaired cells."""
+        out = tmp_path / "rates.csv"
+        argv = ["--n", "2,3,5,6", "--p", "2,3,5", "--epsilon0", "ref,2,4,8,16",
+                "--reps", "10", "--seed", "4"]
+        assert run(["simulate-reconstruction", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "071c47988002bca7db8239a3506a912bcb8499d4bf9edfb6f9b19923ff698fde")
+
     def test_weak_noise_pipeline_close_to_plain(self, tmp_path):
         artifacts = end_to_end(tmp_path / "weak", seed=7, epsilon0=20.0)
         dp = json.loads(artifacts["fit_dp"].read_text())

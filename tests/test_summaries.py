@@ -220,6 +220,15 @@ def test_site_summary_n_must_be_an_integer(n):
         SiteSummary(site_id="a", n=n, S=S, T=S)
 
 
+@pytest.mark.parametrize("name", ["S", "T"])
+@pytest.mark.parametrize("matrix", [[[1.0, 0.0], [0.0]], "ab", [["1", "x"], ["0", "1"]]],
+                         ids=["ragged", "string", "string-entries"])
+def test_site_summary_matrix_must_be_numeric(name, matrix):
+    fields = {"S": np.eye(2), "T": np.eye(2), name: matrix}
+    with pytest.raises(ValidationError, match=f"^site 'a': {name} is not a numeric matrix$"):
+        SiteSummary(site_id="a", n=2, **fields)
+
+
 class TestMerge:
     def test_non_integer_n_is_refused(self, rng):
         a, b = (compute_summary(SiteData(site_id=s, y=rng.normal(size=3), X=rng.normal(size=(3, 2))))
@@ -343,6 +352,12 @@ class TestFederatedSummarySet:
         fields = self._fields(rng)
         fields[name] = [fields[name][0], np.eye(4), fields[name][2]]  # site b has p = 3
         with pytest.raises(ValidationError, match="^dimension mismatch: site 'b' has p=3, expected p=2$"):
+            FederatedSummarySet(**fields)
+
+    def test_ragged_site_matrix_names_the_site(self, rng):
+        fields = self._fields(rng)
+        fields["S"] = [fields["S"][0], fields["S"][1], [[1.0, 0.0, 0.0], [0.0], [0.0, 0.0, 1.0]]]
+        with pytest.raises(ValidationError, match="^site 'c': S is not a numeric matrix$"):
             FederatedSummarySet(**fields)
 
     def test_duplicate_site_id(self, rng):
