@@ -28,7 +28,9 @@ reaches with a bounded Brent search.  Every other fit is maximized by
 derivative-free Nelder-Mead on (log sigma2, softplus^-1 tau2), with an
 explicit scan of the tau2 = 0 edge: noisy summaries whose profile is not
 well posed, an optimum at the top of the grid, and a point the refinement
-finds ill posed.
+finds ill posed.  Nelder-Mead is an in-house loop on Python floats
+(``_nelder_mead``) that takes scipy's steps; ``scipy.optimize`` serves
+only the Brent refinement.
 
 Only Nelder-Mead searches inside a box (``_SearchSpace``); the profiled
 search takes sigma2 in closed form, however small.  Both share one rule
@@ -42,12 +44,15 @@ The additive Gaussian constant -(N/2) log(2 pi) is omitted throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .errors import SingularDesignError, ValidationError
-from .summaries import FederatedSummarySet
+from .summaries import FederatedSummarySet, is_real
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,25 @@ _COND_LIMIT = 1e12
 
 
 def require_well_conditioned(matrix: np.ndarray, what: str) -> None:
-    """Raise SingularDesignError unless cond_2(matrix) <= ``_COND_LIMIT``.
+    """Raise SingularDesignError unless cond_2 of the square ``matrix`` is <= ``_COND_LIMIT``.
 
-    cond_2 is s_max / s_min from one SVD, the value ``np.linalg.cond``
-    returns, with s_min = 0 and NaN read as inf; the error carries it.
+    A bound is tried first, without an SVD.  With r_i the absolute sum of
+    row i, lo = min_i (2 w_ii - r_i) and hi = max_i r_i, lo > 0 gives
+    ||W^-1||_inf <= 1/lo (Varah 1975, Linear Algebra Appl. 11:3-5) and
+    ||W||_inf = hi, so cond_2 <= p hi / lo.  The matrix passes when that
+    bound is at most 1e-2 * ``_COND_LIMIT``, where an SVD, accurate to far
+    better than that factor of 100, passes it too.  NaN or inf entries and
+    any matrix the bound cannot place that far inside the limit take the
+    SVD, which decides: cond_2 is s_max / s_min from one SVD, the value
+    ``np.linalg.cond`` returns, with s_min = 0 and NaN read as inf; the
+    error carries it.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and huge entries fail the bound
+        r = np.add.reduce(np.abs(matrix), 1)  # ufunc reductions skip .sum()'s Python wrapper
+        d = matrix.diagonal()
+        lo = float(np.minimum.reduce(d + d - r))
+    if lo > 0 and len(r) * float(np.maximum.reduce(r)) <= 1e-2 * _COND_LIMIT * lo:
+        return
     s = np.linalg.svd(matrix, compute_uv=False)
     s_min = float(s[-1])
     cond = float(s[0]) / s_min if s_min > 0 else math.inf
@@ -130,10 +149,11 @@ class _Kernel:
     of the strided ``T[:, 1:, 1:]`` view for p > 1, a view for p = 1.  It
     is the array ``np.tensordot`` builds on every call, so the weight sum
     sum_k c_k T_k[XX] is the same (1, K) x (K, p*p) ``dot`` without the
-    per-call copy.  The condition check on sum_k W_k stays an SVD
-    (``require_well_conditioned``): on heavily noised summaries the 2-D
-    search follows the cond = 1e12 wall, and any other estimate of cond
-    would move its path.
+    per-call copy.  The condition check on sum_k W_k is decided by an SVD
+    wherever the answer is in doubt (``require_well_conditioned``): on
+    heavily noised summaries the 2-D search follows the cond = 1e12 wall,
+    and any other estimate of cond would move its path.  The bound it
+    tries first passes only matrices 100x inside that wall.
     """
 
     def __init__(self, summaries: FederatedSummarySet):
@@ -238,10 +258,11 @@ class _IllPosed(Exception):
 
 
 def _check_theta_domain(sigma2: float, tau2: float) -> None:
-    if not (sigma2 > 0 and np.isfinite(sigma2)):
-        raise ValidationError("sigma2 must be positive")
-    if not (tau2 >= 0 and np.isfinite(tau2)):
-        raise ValidationError("tau2 must be nonnegative")
+    """Refuse variance components that are not finite real numbers (a bool is not one) in range."""
+    if not (is_real(sigma2) and sigma2 > 0 and math.isfinite(sigma2)):
+        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2!r}")
+    if not (is_real(tau2) and tau2 >= 0 and math.isfinite(tau2)):
+        raise ValidationError(f"tau2 must be nonnegative and finite, got {tau2!r}")
 
 
 def require_beta_length(theta: Theta, summaries: FederatedSummarySet) -> None:
@@ -293,7 +314,7 @@ class _SearchSpace:
     sigma2_hi: float
     tau2_hi: float
 
-    def decode(self, u: np.ndarray) -> tuple[float, float] | None:
+    def decode(self, u: Sequence[float]) -> tuple[float, float] | None:
         if u[0] <= 709.0:  # exp(709) ~ 8.218e307; np.exp overflows past ~709.78
             sigma2 = float(np.exp(u[0]))
         elif self.sigma2_hi < 8.2e307:
@@ -301,7 +322,7 @@ class _SearchSpace:
         else:  # a box reaching past exp(709) needs an outcome scale above 8e299
             with np.errstate(over="ignore"):
                 sigma2 = float(np.exp(u[0]))
-        tau2 = float(np.logaddexp(0.0, u[1])) if u.shape[0] > 1 else 0.0  # softplus
+        tau2 = float(np.logaddexp(0.0, u[1])) if len(u) > 1 else 0.0  # softplus
         # a point outside the box, or with a NaN coordinate, decodes to None
         inside = self.sigma2_lo <= sigma2 <= self.sigma2_hi and tau2 <= self.tau2_hi
         return (sigma2, tau2) if inside else None
@@ -374,6 +395,81 @@ def _profiled_search(kernel: _Kernel, reml: bool) -> tuple[float, float, float, 
     return sigma2, tau2, float(value), converged, n_evals, boundary
 
 
+class _EvalCapReached(Exception):
+    """A Nelder-Mead search has spent its ``_MAX_EVALS`` evaluations."""
+
+
+def _nelder_mead(f: Callable[[tuple[float, ...]], float],
+                 x0: Sequence[float]) -> tuple[tuple[float, ...], float, int, bool]:
+    """Minimize f from x0 by Nelder-Mead on Python floats.
+
+    Step for step scipy 1.17's ``_minimize_neldermead`` without bounds or
+    adaptive coefficients, at xatol ``_PARAM_TOL``, fatol ``_OBJECTIVE_TOL``
+    and maxfev ``_MAX_EVALS``: the same simplex, the same arithmetic and the
+    same stable sort of the vertices by value, so the same points, values
+    and evaluation count.  f takes a tuple and must not return NaN.
+    Returns (x, fun, nfev, success); success is false exactly when the
+    evaluation budget is spent.
+    """
+    cap, nfev = _MAX_EVALS, 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= cap:
+            raise _EvalCapReached
+        nfev += 1
+        return f(x)
+
+    dim = len(x0)
+    x0 = tuple(float(v) for v in x0)
+    sim = [x0] + [x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [math.inf] * (dim + 1)
+    try:
+        for k, x in enumerate(sim):
+            fsim[k] = call(x)
+    except _EvalCapReached:
+        pass
+    while True:
+        order = sorted(range(dim + 1), key=fsim.__getitem__)  # stable, as np.argsort on 2-3 values
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        if nfev >= cap:
+            break
+        try:
+            best, f_best = sim[0], fsim[0]
+            if (all(abs(v - b) <= _PARAM_TOL for x in sim[1:] for v, b in zip(x, best))
+                    and all(abs(f_best - fv) <= _OBJECTIVE_TOL for fv in fsim[1:])):
+                break
+            xbar = [reduce(add, column) / dim for column in zip(*sim[:-1])]
+            worst = sim[-1]
+            xr = tuple(2 * b - w for b, w in zip(xbar, worst))  # reflect
+            fxr = call(xr)
+            if fxr < f_best:
+                xe = tuple(3 * b - 2 * w for b, w in zip(xbar, worst))  # expand
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = tuple(1.5 * b - 0.5 * w for b, w in zip(xbar, worst))
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:  # contract inside
+                    xc = tuple(0.5 * b + 0.5 * w for b, w in zip(xbar, worst))
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # toward the best vertex; a vertex moves before its evaluation
+                    for j in range(1, dim + 1):
+                        sim[j] = tuple(b + 0.5 * (v - b) for b, v in zip(best, sim[j]))
+                        fsim[j] = call(sim[j])
+        except _EvalCapReached:
+            pass
+    return sim[0], fsim[0], nfev, nfev < cap
+
+
 def _nelder_mead_search(
     kernel: _Kernel, reml: bool
 ) -> tuple[float, float, float, bool, int, bool]:
@@ -383,13 +479,11 @@ def _nelder_mead_search(
     tau2), then in log sigma2 alone on the tau2 = 0 edge, which wins ties.
     Returns (sigma2_hat, tau2_hat, value, converged, n_evals, boundary_tau).
     """
-    from scipy import optimize  # imported on first use, to keep `import fedlmm` light
-
     scale = kernel.scale()
     space = _SearchSpace(sigma2_lo=_SIGMA2_MIN_FACTOR * scale, sigma2_hi=_SIGMA2_MAX_FACTOR * scale,
                          tau2_hi=_TAU2_MAX_FACTOR * scale)
 
-    def neg(u: np.ndarray) -> float:
+    def neg(u: tuple[float, ...]) -> float:
         decoded = space.decode(u)  # a one-element u is a point on the tau2 = 0 edge
         if decoded is None:
             return _PENALTY
@@ -416,14 +510,12 @@ def _nelder_mead_search(
     n_evals = 0
     best = edge = None  # (value, sigma2, tau2, success)
     for u0 in starts:
-        res = optimize.minimize(neg, np.array(u0), method="Nelder-Mead", options={
-            "xatol": _PARAM_TOL, "fatol": _OBJECTIVE_TOL, "maxfev": _MAX_EVALS, "disp": False,
-        })
-        n_evals += res.nfev
-        decoded = space.decode(res.x)
-        if decoded is None or res.fun >= _PENALTY:
+        x, fun, nfev, success = _nelder_mead(neg, u0)
+        n_evals += nfev
+        decoded = space.decode(x)
+        if decoded is None or fun >= _PENALTY:
             continue
-        found = (-res.fun, *decoded, bool(res.success))
+        found = (-fun, *decoded, success)
         if len(u0) == 1:
             edge = found
         elif best is None or found[0] > best[0]:

@@ -150,7 +150,8 @@ def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
     n must have shape (K,) and S and T shape (K, p+1, p+1) with p >= 1,
     one p for every site; each n_k must be an integer (not a bool) >= 1,
     and each S_k and T_k a numeric matrix, finite and exactly symmetric.
-    An error names the first site that fails a check.
+    An error names the first site that fails a check, except when an array
+    stack cannot be read as numbers.
     """
     # A list of sites may hold two p, or a site matrix that is ragged or not
     # numeric, which numpy cannot stack; an array stack holds one p.
@@ -167,7 +168,11 @@ def _checked_stacks(ids: tuple[str, ...], n, S, T) -> tuple[np.ndarray, ...]:
             if p[-1] != p[0]:
                 raise ValidationError(f"dimension mismatch: site {site_id!r} has p={p[-1]}, "
                                       f"expected p={p[0]}")
-    n, S, T = np.array(n, dtype=object), np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    try:  # an array stack may hold strings, or site matrices of more than one shape
+        S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    except (ValueError, TypeError):
+        raise ValidationError("S and T must be numeric stacks of one matrix per site") from None
+    n = np.array(n, dtype=object)
     K, d = len(ids), S.shape[-1] if S.ndim else 0
     if n.shape != (K,) or S.shape != (K, d, d) or T.shape != S.shape or d < 2:
         raise ValidationError(f"site {ids[0]!r}: S and T must both be square (p+1)x(p+1) "

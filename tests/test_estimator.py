@@ -492,3 +492,205 @@ class TestProfiledSearch:
         for summ, reml, fit in profiled:
             top = self._profiled_objectives(summ, reml).max()
             assert top <= fit.objective + 1e-10 * (1.0 + abs(fit.objective))
+
+
+class TestVarianceComponentDomain:
+    """sigma2 and tau2 must be finite real numbers in range; a bool, a string or None is refused."""
+
+    @pytest.mark.parametrize("sigma2, tau2, name", [
+        (True, 0.0, "sigma2"), (1.0, False, "tau2"), ("1", 0.0, "sigma2"), (1.0, None, "tau2"),
+        (None, 0.5, "sigma2"), (np.nan, 0.0, "sigma2"), (1.0, np.inf, "tau2"),
+    ])
+    def test_refused_with_a_named_error(self, rng, sigma2, tau2, name):
+        summ = _summaries(random_sites(rng, K=3, p=3))
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            Theta(beta=[1.0] * 3, sigma2=sigma2, tau2=tau2)
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            profile_beta(sigma2, tau2, summ)
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            loglik_reml(sigma2, tau2, summ)
+
+    def test_numpy_numbers_are_accepted(self, rng):
+        summ = _summaries(random_sites(rng, K=3, p=3))
+        theta = Theta(beta=[1.0] * 3, sigma2=np.float64(1.5), tau2=np.float32(0.5))
+        assert (theta.sigma2, theta.tau2) == (1.5, 0.5)
+        got = profile_beta(np.float64(1.5), np.int64(0), summ)[0]
+        assert got.tobytes() == profile_beta(1.5, 0.0, summ)[0].tobytes()
+
+
+def _scipy_nelder_mead(f, x0, maxfev):
+    """scipy's Nelder-Mead at the estimator's tolerances: (x, fun, nfev, success)."""
+    from scipy import optimize
+
+    from fedlmm import estimator
+
+    res = optimize.minimize(f, np.array(x0, dtype=float), method="Nelder-Mead", options={
+        "xatol": estimator._PARAM_TOL, "fatol": estimator._OBJECTIVE_TOL, "maxfev": maxfev})
+    return res.x, res.fun, res.nfev, res.success
+
+
+def _plateau(x):
+    """A quadratic whose minimum lies in a flat _PENALTY region, so penalized vertices tie."""
+    from fedlmm.estimator import _PENALTY
+
+    return _PENALTY if x[0] + x[1] > 1.0 else (x[0] - 0.4) ** 2 + (x[1] - 0.8) ** 2
+
+
+_TEST_FUNCTIONS = {
+    "quadratic": (lambda x: (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 2.0) ** 2 + x[0] * x[1], [0.3, 0.0]),
+    "rosenbrock": (lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2, [-1.2, 1.0]),
+    "one-dimensional": (lambda x: (x[0] - 2.5) ** 4 + np.cos(x[0]), [0.0]),
+    # two of the three first vertices are penalized and tie at once
+    "plateau-edge": (_plateau, [0.5, 0.5]),
+    # every vertex is penalized: the simplex shrinks on the plateau until it collapses
+    "plateau": (_plateau, [2.0, 2.0]),
+}
+
+
+class TestNelderMeadLoop:
+    """The in-house loop takes scipy's steps: the same x bit for bit, fun, nfev and success."""
+
+    @staticmethod
+    def _assert_same(mine, theirs):
+        x, fun, nfev, success = mine
+        assert np.array(x, dtype=float).tobytes() == theirs[0].tobytes()
+        assert (fun, nfev, success) == (theirs[1], theirs[2], bool(theirs[3]))
+
+    @pytest.mark.parametrize("name", list(_TEST_FUNCTIONS))
+    def test_matches_scipy(self, name):
+        from fedlmm.estimator import _MAX_EVALS, _PENALTY, _nelder_mead
+
+        f, x0 = _TEST_FUNCTIONS[name]
+        values = []
+        got = _nelder_mead(lambda x: values.append(f(x)) or values[-1], x0)
+        self._assert_same(got, _scipy_nelder_mead(f, x0, _MAX_EVALS))
+        assert got[3]
+        if name.startswith("plateau"):
+            assert values.count(_PENALTY) >= 2
+
+    @pytest.mark.parametrize("name", ["rosenbrock", "plateau", "one-dimensional"])
+    def test_capped_run_matches_scipy(self, monkeypatch, name):
+        # caps from 38 to 45 stop the plateau run at every step of one iteration:
+        # the reflection, the inside contraction, and each vertex of the shrink
+        from fedlmm import estimator
+
+        f, x0 = _TEST_FUNCTIONS[name]
+        for cap in range(38, 46):
+            monkeypatch.setattr(estimator, "_MAX_EVALS", cap)
+            got = estimator._nelder_mead(f, x0)
+            self._assert_same(got, _scipy_nelder_mead(f, x0, cap))
+            assert got[2] == cap and not got[3]
+
+    @staticmethod
+    def _ridge_runs(monkeypatch):
+        """The objective and start of each Nelder-Mead run of the eps0 = 2 ridge fit."""
+        from fedlmm import estimator
+
+        runs, loop = [], estimator._nelder_mead
+        monkeypatch.setattr(estimator, "_nelder_mead",
+                            lambda f, x0: runs.append((f, list(x0))) or loop(f, x0))
+        fit = fit_ml(_eps2_private_summaries())
+        monkeypatch.setattr(estimator, "_nelder_mead", loop)
+        assert fit.search == "nelder-mead"
+        assert [len(x0) for _, x0 in runs] == [2, 2, 2, 1]  # three starts, then the tau2 = 0 edge
+        return runs
+
+    def test_ridge_starts_match_scipy(self, monkeypatch):
+        from fedlmm.estimator import _MAX_EVALS, _nelder_mead
+
+        for f, x0 in self._ridge_runs(monkeypatch):
+            self._assert_same(_nelder_mead(f, x0), _scipy_nelder_mead(f, x0, _MAX_EVALS))
+
+    def test_capped_ridge_starts_match_scipy(self, monkeypatch):
+        from fedlmm import estimator
+
+        runs = self._ridge_runs(monkeypatch)
+        monkeypatch.setattr(estimator, "_MAX_EVALS", 40)
+        for f, x0 in runs:
+            got = estimator._nelder_mead(f, x0)
+            self._assert_same(got, _scipy_nelder_mead(f, x0, 40))
+            assert got[2] == 40 and not got[3]
+
+
+def _svd_condition_check(matrix):
+    """The condition check by SVD alone: None when it passes, else the cond in its error."""
+    from fedlmm.estimator import _COND_LIMIT
+
+    s = np.linalg.svd(matrix, compute_uv=False)
+    s_min = float(s[-1])
+    cond = float(s[0]) / s_min if s_min > 0 else np.inf
+    if not cond <= _COND_LIMIT:
+        return np.inf if np.isnan(cond) else cond
+    return None
+
+
+def _check_outcome(check, matrix):
+    """What a check does on a matrix: None, the cond it refuses at, or the error type it raises."""
+    try:
+        return check(matrix)
+    except SingularDesignError as err:
+        return err.condition_number
+    except np.linalg.LinAlgError as err:
+        return type(err)
+
+
+def _conditioned_matrices(rng, count):
+    """Symmetric matrices, p = 1..7, with cond log-uniform in [1, 1e14], most in [1e9, 1e13].
+
+    Half are rotated (dense), half nearly diagonal, some indefinite; each
+    also comes with an off-diagonal entry one ulp up, and with a NaN or an
+    inf entry.
+    """
+    for _ in range(count):
+        p = int(rng.integers(1, 8))
+        log_cond = rng.uniform(9.0, 13.0) if rng.uniform() < 0.6 else rng.uniform(0.0, 14.0)
+        lam = np.logspace(0.0, -log_cond, p) * 10.0 ** rng.uniform(-100.0, 100.0)
+        if rng.uniform() < 0.1:
+            lam[rng.integers(p)] *= -1.0
+        if rng.uniform() < 0.5:
+            q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            matrix = (q * lam) @ q.T
+        else:
+            root = np.sqrt(np.abs(lam))
+            off = rng.normal(size=(p, p)) * np.outer(root, root) * 10.0 ** rng.uniform(-8.0, 0.0)
+            matrix = np.diag(rng.permutation(lam)) + off - np.diag(np.diag(off))
+        matrix = (matrix + matrix.T) / 2.0
+        yield matrix
+        i, j = rng.integers(p, size=2)
+        if i != j:
+            asymmetric = matrix.copy()
+            asymmetric[i, j] = np.nextafter(asymmetric[i, j], np.inf)
+            yield asymmetric
+        broken = matrix.copy()
+        broken[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+        yield broken
+
+
+class TestConditionCertificate:
+    """The bound before the SVD changes no outcome of the condition check."""
+
+    def test_matches_svd_only_check(self, rng, monkeypatch):
+        from fedlmm.estimator import require_well_conditioned
+
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        certified = refused = 0
+        for matrix in _conditioned_matrices(rng, 600):
+            before = len(calls)
+            got = _check_outcome(lambda m: require_well_conditioned(m, "W"), matrix)
+            certified += len(calls) == before  # passed on the bound alone
+            assert got == _check_outcome(_svd_condition_check, matrix)  # the same cond, inf included
+            refused += got is not None and np.isfinite(matrix).all()
+        assert certified >= 100 and refused >= 100
+
+    def test_diagonally_dominant_matrix_needs_no_svd(self, monkeypatch):
+        from fedlmm.estimator import require_well_conditioned
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        require_well_conditioned(np.array([[4.0, 1.0, -1.0], [1.0, 5.0, 2.0], [-1.0, 2.0, 1e-6 + 3.0]]), "W")
+        require_well_conditioned(np.array([[2.5]]), "W")
+        with pytest.raises(AssertionError, match="SVD called"):  # near the wall, the SVD decides
+            require_well_conditioned(np.diag([1.0, 1e-11]), "W")

@@ -360,6 +360,21 @@ class TestFederatedSummarySet:
         with pytest.raises(ValidationError, match="^site 'c': S is not a numeric matrix$"):
             FederatedSummarySet(**fields)
 
+    def test_string_stack_is_refused(self):
+        T = [np.ones((2, 2)), np.ones((2, 2))]
+        with pytest.raises(ValidationError, match="^S and T must be numeric stacks of one matrix per site$"):
+            FederatedSummarySet(("a", "b"), [2, 2], "ab", T, (None, None))
+
+    @pytest.mark.parametrize("name", ["S", "T"])
+    def test_object_array_stack_of_two_p_is_refused(self, name):
+        # numpy cannot stack an identity of p = 1 on one of p = 2
+        stack = np.empty(2, dtype=object)
+        stack[0], stack[1] = np.eye(2), np.eye(3)
+        fields = {"site_ids": ("a", "b"), "n": [2, 2], "S": [np.eye(2)] * 2, "T": [np.eye(2)] * 2,
+                  "budget_used": (None, None), name: stack}
+        with pytest.raises(ValidationError, match="^S and T must be numeric stacks of one matrix per site$"):
+            FederatedSummarySet(**fields)
+
     def test_duplicate_site_id(self, rng):
         with pytest.raises(ValidationError, match="duplicate site_id 'b'"):
             FederatedSummarySet(**{**self._fields(rng), "site_ids": ("a", "b", "b")})
