@@ -117,15 +117,13 @@ def _binary_gram_bounds_hold(gram: np.ndarray, n: int) -> bool:
     Columns j and k of such a design mark row sets A_j and A_k, with
     G_jj = |A_j| and G_jk = |A_j & A_k|.  So 0 <= G_jk <= min(G_jj, G_kk),
     and G_jj + G_kk - G_jk = |A_j | A_k| <= n (the Frechet bounds of their
-    2x2 table); at j = k the last bound reads G_jj <= n.  The bounds are
-    necessary, not sufficient: a Gram that passes may still have no design.
+    2x2 table); at j = k the last bound reads G_jj <= n.  ``clamp_gram``
+    leaves a Gram unchanged exactly when it meets all but the last.  The
+    bounds are necessary, not sufficient: a Gram that passes may still have
+    no design.
     """
     d = np.diag(gram)
-    return bool(
-        (gram >= 0).all()
-        and (gram <= np.minimum.outer(d, d)).all()
-        and (d[:, None] + d - gram <= n).all()
-    )
+    return bool(np.array_equal(clamp_gram(gram, n), gram) and (d[:, None] + d - gram <= n).all())
 
 
 class _SlotTable:
@@ -339,10 +337,8 @@ class _Search:
 
 
 def _counts_to_matrix(counts: np.ndarray, patterns: np.ndarray, n: int) -> np.ndarray:
-    rows = [np.repeat(patterns[i : i + 1], c, axis=0) for i, c in enumerate(counts) if c]
-    n_zero = n - int(counts.sum())
-    rows.append(np.zeros((n_zero, patterns.shape[1]), dtype=np.int8))
-    return np.concatenate(rows, axis=0)
+    zeros = np.zeros((n - int(counts.sum()), patterns.shape[1]), dtype=np.int8)
+    return np.concatenate((np.repeat(patterns, counts, axis=0), zeros))
 
 
 def check_solver_limits(p: int, timeout_s: float) -> None:

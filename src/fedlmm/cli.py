@@ -1,7 +1,8 @@
 """Command-line interface: summarize, privatize, fit, attack, simulate.
 
 Exit codes: 0 success, 1 invalid input (usage errors included), 2
-numerical failure.  Every command accepts --seed and is byte-reproducible
+numerical failure.  Every command accepts --seed, a non-negative integer
+(the only seed numpy's SeedSequence takes), and is byte-reproducible
 under it; commands with no randomness simply ignore the seed.  Relative
 output paths resolve against $FEDLMM_OUT_DIR when it is set.
 """
@@ -363,6 +364,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, the only seed numpy's SeedSequence takes."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fedlmm",
@@ -370,8 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fedlmm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # children share a parent's actions, defaults included, so pipeline declares its own --seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("summarize", help="per-site quadratic summaries from a CSV")
+    p = sub.add_parser("summarize", parents=[seeded], help="per-site quadratic summaries from a CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--outcome", required=True)
     p.add_argument("--covariates", required=True, help="comma-separated column names")
@@ -379,20 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site-id", default="site", help="site id when --site-col is absent")
     p.add_argument("--no-intercept", dest="intercept", action="store_false")
     p.add_argument("--out", required=True, help="output directory for summary JSON files")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler="cmd_summarize")
 
-    p = sub.add_parser("privatize", help="apply the Gaussian mechanism to a summary file")
+    p = sub.add_parser("privatize", parents=[seeded], help="apply the Gaussian mechanism to a summary file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--sensitive", default="",
                    help="comma-separated design columns (1-based) to perturb; default: every entry")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler="cmd_privatize")
 
-    p = sub.add_parser("fit", help="pooled ML/REML fit from summary files")
+    p = sub.add_parser("fit", parents=[seeded], help="pooled ML/REML fit from summary files")
     p.add_argument("summaries", nargs="+")
     p.add_argument("--method", choices=["ml", "reml"], default="ml")
     p.add_argument("--correction", choices=list(CORRECTIONS), default="cr0")
@@ -400,22 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-t", action="store_true")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--coef-csv", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler="cmd_fit")
 
-    p = sub.add_parser("simulate-estimation", help="replicated estimation study")
+    p = sub.add_parser("simulate-estimation", parents=[seeded], help="replicated estimation study")
     p.add_argument("--scenario", required=True, choices=list(SCENARIOS))
     p.add_argument("--K", required=True, help="comma-separated site counts")
     p.add_argument("--epsilon0", required=True, help="comma-separated privacy levels")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--correction", choices=list(CORRECTIONS), default="cr0")
     p.add_argument("--arms", default=",".join(ARMS))
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler="cmd_simulate_estimation")
 
-    p = sub.add_parser("simulate-reconstruction", aliases=["attack"],
+    p = sub.add_parser("simulate-reconstruction", aliases=["attack"], parents=[seeded],
                        help="attack rates over (n, p, epsilon0) grids; attack is an alias")
     p.add_argument("--n", required=True, help="comma-separated row counts")
     p.add_argument("--p", required=True, help="comma-separated dimensions")
@@ -423,14 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help='comma-separated levels; "ref" (default) = no noise')
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=10.0, help="per-solve seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(handler="cmd_simulate_reconstruction")
 
     p = sub.add_parser("pipeline", help="seeded summarize -> privatize -> fit -> attack smoke run")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--epsilon0", type=float, default=8.0)
     p.set_defaults(handler="cmd_pipeline")
 

@@ -424,12 +424,8 @@ def _nelder_mead(f: Callable[[tuple[float, ...]], float],
     x0 = tuple(float(v) for v in x0)
     sim = [x0] + [x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) + x0[k + 1:]
                   for k, v in enumerate(x0)]
-    fsim = [math.inf] * (dim + 1)
-    try:
-        for k, x in enumerate(sim):
-            fsim[k] = call(x)
-    except _EvalCapReached:
-        pass
+    # dim + 1 <= 3 calls, and no cap is below 3: the first simplex never reaches it
+    fsim = [call(x) for x in sim]
     while True:
         order = sorted(range(dim + 1), key=fsim.__getitem__)  # stable, as np.argsort on 2-3 values
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]

@@ -28,16 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .summaries import FederatedSummarySet, is_integer, require_count
+from .summaries import FederatedSummarySet, is_integer, is_real, require_count
 
 
 def gaussian_sigma(delta_f: float, epsilon: float, delta: float) -> float:
-    """Noise SD of the Gaussian mechanism for the given sensitivity and budget."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
+    """Noise SD of the Gaussian mechanism for real (not bool) sensitivity and budget."""
+    if not (is_real(epsilon) and epsilon > 0 and math.isfinite(epsilon)):
         raise ValidationError("epsilon must be positive")
-    if not (0.0 < delta < 1.0):
+    if not (is_real(delta) and 0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
-    if not (delta_f > 0 and math.isfinite(delta_f)):
+    if not (is_real(delta_f) and delta_f > 0 and math.isfinite(delta_f)):
         raise ValidationError("delta_f must be positive")
     return delta_f * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
@@ -47,7 +47,8 @@ class PrivacyBudget:
     """(epsilon, delta) budget with its Frobenius sensitivity and derived SD.
 
     sigma_dp is redundant but stored for auditability; it is recomputed and
-    asserted whenever a budget is constructed or loaded.
+    asserted whenever a budget is constructed or loaded.  Every field must
+    be a real number (a bool is not one).
     """
 
     epsilon: float
@@ -57,7 +58,8 @@ class PrivacyBudget:
 
     def __post_init__(self):
         expected = gaussian_sigma(self.delta_f, self.epsilon, self.delta)
-        if not math.isclose(self.sigma_dp, expected, rel_tol=1e-9, abs_tol=0.0):
+        if not (is_real(self.sigma_dp)
+                and math.isclose(self.sigma_dp, expected, rel_tol=1e-9, abs_tol=0.0)):
             raise ValidationError(
                 f"sigma_dp={self.sigma_dp!r} inconsistent with "
                 f"(epsilon, delta, delta_f): expected {expected!r}"

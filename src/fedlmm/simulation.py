@@ -271,6 +271,7 @@ def run_estimation_study(
 ) -> list[MetricRow]:
     """Replicated arms on common random numbers; failures never abort the study."""
     require_count("reps", reps)
+    require_count("workers", workers)
     if not arms or any(a not in ARMS for a in arms):
         raise ValidationError(f"arms must be one or more of {list(ARMS)}, got {list(arms)}")
     # Refuse here what every replicate would refuse, before a failed
@@ -279,11 +280,11 @@ def run_estimation_study(
     # cr1s's N > p are left to each replicate.
     p = len(scenario.design_columns)
     for eps in epsilon0_grid:
-        calibrate(float(eps), delta=0.5, p=p)
+        calibrate(eps, delta=0.5, p=p)
     correction_factor(correction, scenario.K, N=p + 1, p=p)
     task = functools.partial(one_replicate, scenario, tuple(epsilon0_grid), seed,
                              correction=correction, arms=tuple(arms))
-    workers = min(max(workers, 1), reps)
+    workers = min(workers, reps)
     if workers == 1:
         results = map(task, range(reps))
     else:
@@ -375,14 +376,8 @@ def privacy_cost_slope(
             raise ValidationError("degenerate zero privacy cost; slope undefined")
         xs.append(np.log(1.0 / level) if versus == "inv_K" else np.log(level))
         ys.append(np.log(value))
-    x = np.array(xs)
-    y = np.array(ys)
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    dof = max(len(x) - 2, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
+    # the covariance is scaled by rss / (levels - 2), and there are >= 3 levels
+    coef, cov = np.polyfit(xs, ys, 1, cov=True)
     return float(coef[0]), float(np.sqrt(cov[0, 0]))
 
 
@@ -407,7 +402,7 @@ def run_reconstruction_cell(
     """
     for name, value in (("n", n), ("p", p), ("reps", reps)):
         require_count(name, value)
-    budget = None if epsilon0 is None else calibrate(float(epsilon0), delta=delta, p=p)
+    budget = None if epsilon0 is None else calibrate(epsilon0, delta=delta, p=p)
     matrix_hits = 0
     element_rates = []
     failed = 0
@@ -458,7 +453,7 @@ def run_reconstruction_study(
         attack_mod.check_solver_limits(p, timeout_s)
         for eps in epsilon0_values:
             if eps is not None:
-                calibrate(float(eps), delta=delta, p=p)
+                calibrate(eps, delta=delta, p=p)
     rows = []
     for p in p_values:
         for n in n_values:

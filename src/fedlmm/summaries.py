@@ -339,14 +339,10 @@ class StandardizationRecord:
     x_scale: np.ndarray
 
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.x_mean.shape[0]
-        A = np.zeros((p, p))
-        c = np.zeros(p)
-        A[0, 0] = self.y_scale
+        A = np.diag(np.r_[self.y_scale, self.y_scale / self.x_scale[1:]])
+        A[0, 1:] = -self.y_scale * self.x_mean[1:] / self.x_scale[1:]
+        c = np.zeros(self.x_mean.shape[0])
         c[0] = self.y_mean
-        for j in range(1, p):
-            A[j, j] = self.y_scale / self.x_scale[j]
-            A[0, j] = -self.y_scale * self.x_mean[j] / self.x_scale[j]
         return A, c
 
     def beta_to_original(self, beta_std: np.ndarray) -> np.ndarray:

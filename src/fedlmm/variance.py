@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimator import FitResult, Theta, _Kernel, require_beta_length, require_well_conditioned
-from .summaries import FederatedSummarySet
+from .summaries import FederatedSummarySet, is_real
 
 CORRECTIONS = ("cr0", "cr1", "cr1p", "cr1s")
 
@@ -92,7 +92,7 @@ def wald_ci(
     The quantile is standard normal by default (multi-site asymptotics);
     ``use_t`` switches to t_{K-1} for small-K conservatism.
     """
-    if not (0.0 < level < 1.0):
+    if not (is_real(level) and 0.0 < level < 1.0):
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     from scipy import special  # imported on first use, to keep `import fedlmm` light
 

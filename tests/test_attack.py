@@ -322,6 +322,23 @@ class TestGramBounds:
                 gram[(iu[1], iu[0])] = vals
                 assert _binary_gram_bounds_hold(gram, n) == (tuple(gram.ravel()) in fibers)
 
+    def test_matches_explicit_pairwise_bounds(self):
+        # Every symmetric integer Gram with entries in [-1, n + 1], n <= 3, p <= 3,
+        # against each bound written out: entries >= 0, G_jk <= min(G_jj, G_kk)
+        # and G_jj + G_kk - G_jk <= n.
+        for n, p in itertools.product((1, 2, 3), (1, 2, 3)):
+            iu = np.triu_indices(p)
+            for vals in itertools.product(range(-1, n + 2), repeat=len(iu[0])):
+                gram = np.zeros((p, p), dtype=np.int64)
+                gram[iu] = vals
+                gram[(iu[1], iu[0])] = vals
+                d = np.diag(gram)
+                explicit = all(
+                    gram[j, k] >= 0 and gram[j, k] <= min(d[j], d[k]) and d[j] + d[k] - gram[j, k] <= n
+                    for j in range(p) for k in range(p)
+                )
+                assert _binary_gram_bounds_hold(gram, n) == explicit, (n, gram)
+
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(1, 12), st.integers(1, 9)).flatmap(
         lambda shape: arrays(np.int64, shape, elements=st.integers(0, 1))))

@@ -377,6 +377,37 @@ def test_help_exits_0(capsys):
     assert "--epsilon0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc"], ids=["negative", "not-an-integer"])
+@pytest.mark.parametrize("command", ["summarize", "privatize", "fit", "simulate-estimation",
+                                     "attack", "pipeline"])
+def test_bad_seed_exits_1_before_any_output(tmp_path, clinic_csv, summary_files, capsys, command, seed):
+    """numpy's SeedSequence takes no negative seed: argparse refuses it, with no traceback."""
+    out = tmp_path / "out"
+    argv = {
+        "summarize": ["--csv", str(clinic_csv), "--outcome", "ct", "--covariates", "sex"],
+        "privatize": ["--in", str(summary_files[0]), "--epsilon0", "4", "--delta", "0.01"],
+        "fit": [*map(str, summary_files)],
+        "simulate-estimation": ["--scenario", "ri-correct", "--K", "5", "--epsilon0", "8", "--reps", "1"],
+        "attack": ["--n", "3", "--p", "3", "--reps", "1"],
+        "pipeline": [],
+    }[command]
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    assert run([command, *argv, "--out", str(out), "--seed", seed]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith("usage: ")
+    assert f": argument --seed: must be a non-negative integer, got '{seed}'\n" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_seed_defaults():
+    """Every command's --seed defaults to 0, except pipeline's, which defaults to 7."""
+    parser = cli.build_parser()
+    assert parser.parse_args(["attack", "--n", "3", "--p", "3", "--reps", "1", "--out", "x"]).seed == 0
+    assert parser.parse_args(["pipeline", "--out", "x"]).seed == 7
+
+
 class TestDispatch:
     """One parser tree per process; each call runs the handler bound in the module now."""
 

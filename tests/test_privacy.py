@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ class TestCalibrate:
     def test_budget_consistency_enforced(self):
         with pytest.raises(ValidationError, match="inconsistent"):
             PrivacyBudget(epsilon=2.0, delta=0.01, delta_f=4.0, sigma_dp=1.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: calibrate(True, 0.01, 3), "epsilon must be positive"),
+        (lambda: calibrate("8", 0.01, 3), "epsilon must be positive"),
+        (lambda: calibrate(np.bool_(True), 0.01, 3), "epsilon must be positive"),
+        (lambda: calibrate(8.0, None, 3), "delta must lie in (0, 1)"),
+        (lambda: calibrate(8.0, "0.01", 3), "delta must lie in (0, 1)"),
+        (lambda: privacy.gaussian_sigma(True, 1.0, 0.1), "delta_f must be positive"),
+        (lambda: PrivacyBudget(6.0, 0.01, 6.0, "x"), "sigma_dp='x' inconsistent"),
+    ], ids=["bool-epsilon0", "str-epsilon0", "numpy-bool-epsilon0", "none-delta", "str-delta",
+            "bool-delta_f", "str-sigma"])
+    def test_non_real_parameter_refused_by_name(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            call()
 
 
 @pytest.fixture

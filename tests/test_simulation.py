@@ -170,6 +170,21 @@ class TestEstimationStudy:
         with pytest.raises(ValidationError, match="one or more"):
             run_estimation_study(scenario, [8.0], reps=1, seed=1, arms=())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(workers=True), "workers must be an integer, got True"),
+        (dict(workers=2.5), "workers must be an integer, got 2.5"),
+        (dict(epsilon0_grid=[8.0, True]), "epsilon must be positive"),
+    ], ids=["workers-zero", "workers-bool", "workers-float", "bool-level"])
+    def test_refused_before_any_replicate_or_pool(self, monkeypatch, kwargs, message):
+        calls = []
+        monkeypatch.setattr(simulation, "one_replicate", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", lambda *args, **kw: calls.append(args))
+        kwargs = dict(dict(epsilon0_grid=[8.0], workers=2), **kwargs)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_estimation_study(Scenario("ri-correct", K=5), reps=3, seed=1, **kwargs)
+        assert calls == []
+
     def test_csv_round_trip(self, tmp_path):
         scenario = Scenario("ri-correct", K=8)
         rows = run_estimation_study(scenario, [8.0], reps=2, seed=9, arms=("ipd", "dp"))
@@ -245,6 +260,24 @@ class TestPrivacyCostSlope:
         slope, se = privacy_cost_slope(rows, versus="inv_K")
         assert slope == pytest.approx(1.0, abs=1e-9)
         assert se == pytest.approx(0.0, abs=1e-9)
+
+    def test_se_is_the_residual_scaled_least_squares_se(self):
+        # four noisy levels: s^2 = rss / (levels - 2), se = sqrt(s^2 [(A'A)^-1]_00)
+        rows = self._rows_for([20, 50, 100, 200], [16.0],
+                              lambda K, e, r: np.sqrt(4.0 / K) * np.exp(r.normal(0.0, 0.3)), reps=5)
+        slope, se = privacy_cost_slope(rows, versus="inv_K")
+        means = {}
+        for r in rows:
+            means.setdefault(r.K, []).append(r.l2_privacy_cost**2)
+        x = np.log([1.0 / K for K in sorted(means)])
+        y = np.log([np.mean(means[K]) for K in sorted(means)])
+        A = np.column_stack([x, np.ones_like(x)])
+        coef = np.linalg.solve(A.T @ A, A.T @ y)
+        resid = y - A @ coef
+        s2 = resid @ resid / (len(x) - 2)
+        assert se > 0.01
+        assert slope == pytest.approx(coef[0], rel=1e-12)
+        assert se == pytest.approx(np.sqrt(s2 * np.linalg.inv(A.T @ A)[0, 0]), rel=1e-9)
 
     def test_exact_epsilon_law(self):
         rows = self._rows_for([200], [2.0, 4.0, 8.0, 16.0], lambda K, e, r: 1.0 / e)
@@ -343,6 +376,16 @@ class TestReconstructionCell:
         for run in (lambda: run_reconstruction_cell(n, p, None, reps, seed=1),
                     lambda: run_reconstruction_study([2, n], [2, p], [None, 8.0], reps, seed=1)):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                run()
+        assert calls == []
+
+    def test_bool_level_refused_before_replicates(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation.attack_mod, "attack_pipeline",
+                            lambda *args, **kwargs: calls.append(args))
+        for run in (lambda: run_reconstruction_cell(3, 3, True, 2, seed=0),
+                    lambda: run_reconstruction_study([3], [3], [None, True], 2, seed=0)):
+            with pytest.raises(ValidationError, match="^epsilon must be positive$"):
                 run()
         assert calls == []
 

@@ -293,6 +293,10 @@ class TestFederatedSummarySet:
         return dict(site_ids=("a", "b", "c"), n=np.array([2, 3, 4]), S=A + A.swapaxes(1, 2),
                     T=s[:, :, None] * s[:, None, :], budget_used=(None,) * 3)
 
+    def test_no_site_is_refused(self):
+        with pytest.raises(ValidationError, match="^summary set must contain at least one site$"):
+            FederatedSummarySet((), [], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), ())
+
     def test_stacks_and_sites(self, rng):
         fields = self._fields(rng)
         sset = FederatedSummarySet(**fields)

@@ -160,6 +160,11 @@ class TestWaldCI:
         with pytest.raises(ValidationError):
             wald_ci(fit, v, level=1.0)
 
+    def test_non_real_level_refused_by_name(self, rng):
+        fit, v = self._fit_v(rng)
+        with pytest.raises(ValidationError, match="^confidence level must be in"):
+            wald_ci(fit, v, level="0.9")
+
     @pytest.mark.parametrize("use_t, want", [(False, 1.959963984540054), (True, 2.364624251592784)])
     def test_quantile_values(self, rng, use_t, want):
         fit, v = self._fit_v(rng)  # K = 8: t with 7 degrees of freedom
